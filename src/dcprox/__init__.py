@@ -7,7 +7,7 @@ Includes fixed-step and objective-gated baselines, certificate audits, and a
 benchmark harness for synthetic logistic and Poisson inverse problems.
 """
 
-from .accel import BetaSchedule, ThetaState, beta_contract, beta_restart, theta_next
+from .accel import BetaSchedule, ThetaState, theta_next
 from .bench import (BenchResult, ConfigError, RunConfig, SummaryRow,
                     read_summary_csv, read_trace_csv, run_matrix,
                     run_reference, write_trace_csv)
@@ -22,8 +22,7 @@ from .logreg import (LogRegData, build_logreg_problem, l1_proximable,
                      l1_scaled_prox, l2_concave, l2_subgradient,
                      logistic_lipschitz_bound, logistic_value_grad)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
-                     IdentityMetricProvider, MetricSchedule,
-                     SplitGradientMetricProvider, adagrad_metric,
+                     IdentityMetricProvider, SplitGradientMetricProvider,
                      check_schedule_growth, gamma, growth_factor,
                      identity_metric, split_gradient_metric,
                      weighted_norm_sq)
@@ -47,11 +46,10 @@ __all__ = [
     "ConcavePartOracle", "ConfigError", "DcProblem", "DiagonalMetric",
     "EvaluationDomainError", "FeasibleSet", "IdentityMetricProvider",
     "IterateState", "LineSearchError", "LineSearchOutcome", "LogRegData",
-    "MetricSchedule", "ParseError", "PoissonCsData", "ProximableOracle",
+    "ParseError", "PoissonCsData", "ProximableOracle",
     "RngSpec", "RunConfig", "RunResult", "SmoothOracle", "SolverConfig",
     "SplitGradientMetricProvider", "StoppingRule", "SummaryRow",
-    "TraceRecord", "adagrad_metric", "adca_run", "backtrack_step",
-    "beta_contract", "beta_restart", "box", "build_logreg_problem",
+    "TraceRecord", "adca_run", "backtrack_step", "box", "build_logreg_problem",
     "build_poisson_problem", "check_schedule_growth", "criticality_residual",
     "descent_inequality_slacks", "descent_slack", "extrapolation_slacks",
     "gamma",

@@ -57,66 +57,6 @@ def theta_next(state: ThetaState, t_prev: float, t_cur: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * state.theta * state.theta))
 
 
-def _commit(state: ThetaState, theta_new: float, t_cur: float) -> None:
-    state.theta_prev = state.theta
-    state.theta = theta_new
-    state.t_prev = t_cur
-
-
-def beta_contract(state: ThetaState, delta: float, L_prev: float, L_cur: float) -> float:
-    """Contracted weight delta * (theta_{k-1} - 1) / theta_k, delta in (0, 1).
-
-    Advances the state with the step ratio implied by L_cur/L_prev
-    (equivalently t_prev/t_cur) and commits it.  A fresh state yields 0.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if L_prev <= 0.0 or L_cur <= 0.0:
-        raise ValueError("curvature estimates must be positive")
-    th = theta_next(state, 1.0 / L_prev, 1.0 / L_cur)
-    beta = delta * (state.theta - 1.0) / th
-    _commit(state, th, 1.0 / L_cur)
-    return beta
-
-
-def _restart_triggered(k: int, T2: int, adaptive: bool,
-                       x_k: Array, x_prev: Array, y_k: Array,
-                       legacy_divisibility: bool = False) -> bool:
-    if T2 > 0:
-        if legacy_divisibility:
-            # Literal reading: period divisible by the counter.
-            fixed = (T2 % k == 0)
-        else:
-            fixed = (k % T2 == 0)
-        if fixed:
-            return True
-    if adaptive:
-        # Momentum turned against the last step: plain inner product test.
-        return float(np.dot(x_k - x_prev, y_k - x_k)) > 0.0
-    return False
-
-
-def beta_restart(state: ThetaState, k: int, T2: int, adaptive: bool,
-                 x_k: Array, x_prev: Array, y_k: Array,
-                 legacy_divisibility: bool = False) -> tuple[float, bool]:
-    """Restarting weight (theta_{k-1} - 1) / theta_k for an advanced state.
-
-    Assumes the state was already advanced for iteration k, returns the weight
-    that was in effect, then resets both thetas to 1 when the fixed period or
-    the adaptive inner-product trigger fires, so the next weight is exactly 0.
-    Also reports whether a reset happened.
-    """
-    if k < 1:
-        raise ValueError("iteration counter must be >= 1")
-    beta = (state.theta_prev - 1.0) / state.theta
-    restarted = _restart_triggered(k, T2, adaptive, x_k, x_prev, y_k,
-                                   legacy_divisibility)
-    if restarted:
-        state.theta_prev = 1.0
-        state.theta = 1.0
-    return beta, restarted
-
-
 _FAMILIES = ("none", "plain", "contract", "fixed-restart", "fixed-adaptive-restart")
 
 
@@ -157,15 +97,23 @@ class BetaSchedule:
     def commit(self, theta_new: float, t_cur: float) -> None:
         if self.family == "none":
             return
-        _commit(self.theta_state, theta_new, t_cur)
+        state = self.theta_state
+        state.theta_prev = state.theta
+        state.theta = theta_new
+        state.t_prev = t_cur
 
     def finish_iteration(self, k: int, x_k: Array, x_prev: Array, y_k: Array) -> bool:
         """Apply the restart rule after iteration k; True when theta was reset."""
         if self.family not in ("fixed-restart", "fixed-adaptive-restart"):
             return False
-        adaptive = self.family == "fixed-adaptive-restart"
-        restarted = _restart_triggered(k, self.T2, adaptive, x_k, x_prev, y_k,
-                                       self.legacy_divisibility)
+        if self.legacy_divisibility:
+            # Literal reading: period divisible by the counter.
+            restarted = self.T2 % k == 0
+        else:
+            restarted = k % self.T2 == 0
+        if not restarted and self.family == "fixed-adaptive-restart":
+            # Momentum turned against the last step: plain inner product test.
+            restarted = float(np.dot(x_k - x_prev, y_k - x_k)) > 0.0
         if restarted:
             self.theta_state.theta_prev = 1.0
             self.theta_state.theta = 1.0

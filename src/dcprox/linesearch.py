@@ -150,13 +150,12 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     coupled weight depends on the trial step size; monotone mode fixes the
     extrapolated point (classical weights do not depend on t) and only
     re-solves the prox subproblem.  Providers are not committed here: the
-    caller records the accepted theta and gradient.
+    caller records the accepted theta and gradient.  ``state.h_prev`` must
+    hold the subgradient of h at ``state.x_prev``.
     """
     k = state.k
     x_prev, x_prev2 = state.x_prev, state.x_prev2
     h_prev = state.h_prev
-    if h_prev is None:
-        h_prev = problem.h.subgrad(x_prev)
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)
     monotone = config.mode == "monotone"
 

@@ -69,35 +69,6 @@ def _clamp_band(values: Array, k: int, clamp_numerator: float) -> Array:
     return np.maximum(1.0 / g, np.minimum(g, values))
 
 
-@dataclass
-class MetricSchedule:
-    """Mutable state for a metric update strategy; owned by one solver run.
-
-    ``accumulator`` carries the running sum of squared gradients for the
-    adagrad strategy and stays ``None`` for the others.
-    """
-
-    strategy: str = "identity"  # identity | adagrad | split-gradient
-    epsilon: float = DEFAULT_EPSILON
-    clamp_numerator: float = DEFAULT_CLAMP_NUMERATOR
-    accumulator: Array | None = None
-
-
-def adagrad_metric(schedule: MetricSchedule, k: int, g_k: Array) -> DiagonalMetric:
-    """Gradient-history diagonal, updated in place.
-
-    Adds ``g_k * g_k`` to the schedule accumulator, then returns the diagonal
-    clamp(sqrt(accumulator + epsilon)) restricted to [1/gamma_k, gamma_k].
-    The accumulator therefore includes the current gradient.
-    """
-    g_k = np.asarray(g_k, dtype=float)
-    if schedule.accumulator is None:
-        schedule.accumulator = np.zeros_like(g_k)
-    schedule.accumulator = schedule.accumulator + g_k * g_k
-    d = np.sqrt(schedule.accumulator + schedule.epsilon)
-    return DiagonalMetric(_clamp_band(d, k, schedule.clamp_numerator))
-
-
 def split_gradient_metric(k: int, y_k: Array, V: Array, clamp_numerator: float) -> DiagonalMetric:
     """Inverse clamped ratio diag(clamp(y/V))^{-1}.
 

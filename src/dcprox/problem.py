@@ -37,7 +37,6 @@ class SmoothOracle:
 
     eval: Callable[[Array], float]
     grad: Callable[[Array], Array]
-    domain_hint: Optional["FeasibleSet"] = None
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,8 @@ class ConcavePartOracle:
 class FeasibleSet:
     """Closed convex constraint set of a supported separable kind.
 
-    Supported kinds are componentwise separable, so the scaled projection is
-    independent of any diagonal metric; the metric argument exists for
-    interface parity and is checked against nothing.
+    Supported kinds are componentwise separable, so the projection in any
+    diagonal metric is the Euclidean one and ``scaled_project`` takes none.
     """
 
     kind: str  # whole-space | nonnegative-orthant | box
@@ -84,7 +82,7 @@ class FeasibleSet:
             if np.any(np.asarray(self.lo) > np.asarray(self.hi)):
                 raise ValueError("box set needs lo <= hi")
 
-    def scaled_project(self, v: Array, metric: DiagonalMetric | None = None) -> Array:
+    def scaled_project(self, v: Array) -> Array:
         if self.kind == "whole-space":
             return v
         if self.kind == "nonnegative-orthant":

@@ -1,17 +1,21 @@
-"""Outer loops: extrapolated proximal DC iterations and their convex variant.
+"""Outer loops: extrapolated proximal DC iterations and their baselines.
 
-``spdcae_run`` is the general loop: at each iteration it linearizes the
-concave part at the previous iterate, extrapolates, and takes one scaled
-proximal step whose step size is set by a backtracking line search.
-``sfista_run`` is the convex specialization (h = 0) with the coupled theta
-schedule, ``pdcae_run`` the fixed-step identity-metric baseline, and
-``adca_run`` a fixed-step baseline that gates extrapolation on recent
-objective values.  Audit helpers re-check the per-iteration inequalities the
+One loop drives every runner; each hands it a different step policy.
+``spdcae_run`` linearizes the concave part at the previous iterate,
+extrapolates, and takes one scaled proximal step sized by a backtracking line
+search; ``sfista_run`` is its convex specialization (h = 0) with the coupled
+theta schedule.  ``pdcae_run`` takes a fixed step with the identity metric
+and restarted weights, and ``adca_run`` a fixed step that gates
+extrapolation on recent objective values.  The loop records the trace and
+snapshots and stops with reason "nonfinite" (the accepted objective is not
+finite), "f_target", "rel_tol" or "crit_tol", tested in that order, or
+"max_iter".  Audit helpers re-check the per-iteration inequalities the
 analysis relies on, from recorded iteration snapshots.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import deque
@@ -21,11 +25,11 @@ from typing import List, Optional
 import numpy as np
 
 from .accel import BetaSchedule, ThetaState
-from .linesearch import (BacktrackConfig, IterateState, LineSearchError,
-                         LineSearchOutcome, backtrack_step, sufficient_decrease)
+from .linesearch import (BacktrackConfig, IterateState, backtrack_step,
+                         sufficient_decrease)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
-                     identity_metric, weighted_norm_sq)
+                     weighted_norm_sq)
 from .problem import DcProblem, criticality_residual, objective
 
 Array = np.ndarray
@@ -50,6 +54,14 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError("iteration cap must be nonnegative")
+        for name in ("f_target", "ref_value", "rel_tol", "crit_tol"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if name.endswith("_tol") and value < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.rel_tol is not None and self.ref_value is None:
             raise ValueError("relative tolerance needs a reference value")
 
@@ -75,7 +87,6 @@ class TraceRecord:
     restarted: bool
     wall_clock_seconds: float
     descent_slack: float | None = None
-    lyapunov_value: float | None = None
     gate_passed: bool | None = None
 
 
@@ -151,6 +162,8 @@ def _make_metric_provider(config: SolverConfig, problem: DcProblem):
 
 def _check_start(problem: DcProblem, x0) -> Array:
     x0 = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("start point must be finite")
     if problem.g.eval(x0) == float("inf") or not problem.feasible_set.contains(x0):
         raise ValueError("start point is infeasible")
     return x0
@@ -158,6 +171,8 @@ def _check_start(problem: DcProblem, x0) -> Array:
 
 def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
                  rel: float | None, x: Array, t: float) -> str | None:
+    if not math.isfinite(F):
+        return "nonfinite"
     if stop.f_target is not None and F <= stop.f_target:
         return "f_target"
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
@@ -166,6 +181,75 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
         if criticality_residual(problem, x, t) <= stop.crit_tol:
             return "crit_tol"
     return None
+
+
+@dataclass
+class _Step:
+    """Accepted step: prox taken at ``y`` with subgradient ``h``; metric None is identity."""
+
+    x_new: Array
+    y: Array
+    h: Array
+    t: float
+    L: float
+    beta: float
+    theta: float
+    n_backtracks: int = 0
+    restarted: bool = False
+    gate_passed: bool | None = None
+    metric: DiagonalMetric | None = None
+
+
+def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
+           keep_states: bool, diagnostics: bool = False,
+           on_value=None) -> RunResult:
+    """Outer loop shared by every runner.
+
+    ``step(state)`` returns the ``_Step`` taken from ``state.x_prev`` (and
+    ``state.x_prev2``) at iteration ``state.k``; ``on_value`` receives each
+    accepted objective value.
+    """
+    stop = stop or StoppingRule()
+    state = IterateState(x_prev=x0, x_prev2=x0)
+    trace: List[TraceRecord] = []
+    states: List[IterationSnapshot] = []
+    t_start = time.perf_counter()
+    stop_reason = "max_iter"
+
+    for k in range(1, stop.max_iter + 1):
+        state.k = k
+        s = step(state)
+        F = objective(problem, s.x_new)
+        if on_value is not None:
+            on_value(F)
+        rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
+        record = TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=s.L, t=s.t,
+                             n_backtracks=s.n_backtracks, beta_used=s.beta,
+                             restarted=s.restarted,
+                             wall_clock_seconds=time.perf_counter() - t_start,
+                             gate_passed=s.gate_passed)
+        if diagnostics:
+            record.descent_slack = descent_slack(problem, state.x_prev, s.h, s.y,
+                                                 s.x_new, s.t, s.metric)
+        trace.append(record)
+        if keep_states:
+            diag = np.ones_like(s.x_new) if s.metric is None else s.metric.diag
+            states.append(IterationSnapshot(k=k, x=s.x_new, y=s.y, t=s.t, L=s.L,
+                                            beta=s.beta, theta=s.theta,
+                                            h_prev=s.h, metric_diag=diag))
+
+        state.x_prev2 = state.x_prev
+        state.x_prev = s.x_new
+        state.L_prev = s.L
+
+        reason = _stop_reason(problem, stop, F, rel, s.x_new, s.t)
+        if reason is not None:
+            stop_reason = reason
+            break
+
+    return RunResult(x=state.x_prev, trace=trace,
+                     states=states if keep_states else None,
+                     stop_reason=stop_reason, x0=x0)
 
 
 def spdcae_run(problem: DcProblem, config: SolverConfig,
@@ -183,55 +267,24 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
     per-iteration snapshots for the audit helpers; ``diagnostics`` fills the
     per-iteration descent slack into the trace.
     """
-    stop = stop or StoppingRule()
     x0 = _check_start(problem, x0)
     beta_schedule = _make_beta_schedule(config)
     metric_provider = _make_metric_provider(config, problem)
-    state = IterateState(x_prev=x0, x_prev2=x0, L_prev=config.backtrack.L_init, k=1)
 
-    trace: List[TraceRecord] = []
-    states: List[IterationSnapshot] = []
-    t_start = time.perf_counter()
-    stop_reason = "max_iter"
-
-    for k in range(1, stop.max_iter + 1):
-        state.k = k
+    def step(state: IterateState) -> _Step:
         state.h_prev = problem.h.subgrad(state.x_prev)
         out = backtrack_step(problem, config.backtrack, state,
                              beta_schedule, metric_provider)
         beta_schedule.commit(out.theta, out.t)
-        metric_provider.accept(k, out.grad_y)
-        restarted = beta_schedule.finish_iteration(k, out.x_new, state.x_prev, out.y)
+        metric_provider.accept(state.k, out.grad_y)
+        restarted = beta_schedule.finish_iteration(state.k, out.x_new,
+                                                   state.x_prev, out.y)
+        return _Step(x_new=out.x_new, y=out.y, h=state.h_prev, t=out.t, L=out.L,
+                     beta=out.beta, theta=out.theta,
+                     n_backtracks=out.n_backtracks, restarted=restarted,
+                     metric=out.metric)
 
-        F = objective(problem, out.x_new)
-        rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
-        record = TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=out.L,
-                             t=out.t, n_backtracks=out.n_backtracks,
-                             beta_used=out.beta, restarted=restarted,
-                             wall_clock_seconds=time.perf_counter() - t_start)
-        if diagnostics:
-            record.descent_slack = descent_slack(problem, state.x_prev,
-                                                 state.h_prev, out.y,
-                                                 out.x_new, out.t, out.metric)
-        trace.append(record)
-        if keep_states:
-            states.append(IterationSnapshot(k=k, x=out.x_new, y=out.y, t=out.t,
-                                            L=out.L, beta=out.beta, theta=out.theta,
-                                            h_prev=state.h_prev,
-                                            metric_diag=out.metric.diag))
-
-        state.x_prev2 = state.x_prev
-        state.x_prev = out.x_new
-        state.L_prev = out.L
-
-        reason = _stop_reason(problem, stop, F, rel, out.x_new, out.t)
-        if reason is not None:
-            stop_reason = reason
-            break
-
-    return RunResult(x=state.x_prev, trace=trace,
-                     states=states if keep_states else None,
-                     stop_reason=stop_reason, x0=x0)
+    return _drive(problem, stop, x0, step, keep_states, diagnostics)
 
 
 def sfista_run(problem: DcProblem, config: SolverConfig,
@@ -251,11 +304,29 @@ def sfista_run(problem: DcProblem, config: SolverConfig,
                       keep_states=keep_states, diagnostics=diagnostics)
 
 
-def _warn_fixed_step(violations: int, where: str) -> None:
-    if violations == 1:
-        warnings.warn(f"{where}: fixed step violates the descent bound; "
-                      "the supplied curvature constant is likely too small",
-                      RuntimeWarning, stacklevel=3)
+def _fixed_step(problem: DcProblem, L_fixed: float, where: str):
+    """Step size t = 1/L_fixed and ``prox_step(base, h)``, the identity-metric
+    proximal step of size t from ``base``; it warns once per run when the
+    descent bound fails.
+    """
+    if L_fixed <= 0.0:
+        raise ValueError("fixed curvature constant must be positive")
+    t = 1.0 / L_fixed
+    warned = False
+
+    def prox_step(base: Array, h: Array) -> Array:
+        nonlocal warned
+        grad = problem.f.grad(base)
+        x_new = problem.g.scaled_prox(base - t * (grad - h), t, None)
+        if not sufficient_decrease(problem.f, x_new, base, grad, t, None) and not warned:
+            warned = True
+            # stack: prox_step < policy step < _drive < public runner < caller
+            warnings.warn(f"{where}: fixed step violates the descent bound; "
+                          "the supplied curvature constant is likely too small",
+                          RuntimeWarning, stacklevel=5)
+        return x_new
+
+    return t, prox_step
 
 
 def pdcae_run(problem: DcProblem, L_fixed: float,
@@ -268,57 +339,24 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
     search.  Violations of the descent bound at the fixed step are reported
     once as a RuntimeWarning (the constant was under-estimated), not errors.
     """
-    if L_fixed <= 0.0:
-        raise ValueError("fixed curvature constant must be positive")
-    stop = stop or StoppingRule()
+    t, prox_step = _fixed_step(problem, L_fixed, "pdcae_run")
     x0 = _check_start(problem, x0)
     if restart_config is None:
         restart_config = BetaSchedule(family="fixed-adaptive-restart", T2=200,
                                       theta_state=ThetaState(mode="classical"))
-    t = 1.0 / L_fixed
 
-    x_prev = x0
-    x_prev2 = x0
-    trace: List[TraceRecord] = []
-    states: List[IterationSnapshot] = []
-    t_start = time.perf_counter()
-    stop_reason = "max_iter"
-    violations = 0
-
-    for k in range(1, stop.max_iter + 1):
-        h_prev = problem.h.subgrad(x_prev)
+    def step(state: IterateState) -> _Step:
+        x_prev = state.x_prev
+        h = problem.h.subgrad(x_prev)
         beta, theta = restart_config.propose(t)
-        y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - x_prev2))
-        grad_y = problem.f.grad(y)
-        x_new = problem.g.scaled_prox(y - t * (grad_y - h_prev), t, None)
+        y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
+        x_new = prox_step(y, h)
         restart_config.commit(theta, t)
-        restarted = restart_config.finish_iteration(k, x_new, x_prev, y)
-        if not sufficient_decrease(problem.f, x_new, y, grad_y, t, None):
-            violations += 1
-            _warn_fixed_step(violations, "pdcae_run")
+        restarted = restart_config.finish_iteration(state.k, x_new, x_prev, y)
+        return _Step(x_new=x_new, y=y, h=h, t=t, L=L_fixed, beta=beta,
+                     theta=theta, restarted=restarted)
 
-        F = objective(problem, x_new)
-        rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
-        trace.append(TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=L_fixed,
-                                 t=t, n_backtracks=0, beta_used=beta,
-                                 restarted=restarted,
-                                 wall_clock_seconds=time.perf_counter() - t_start))
-        if keep_states:
-            states.append(IterationSnapshot(k=k, x=x_new, y=y, t=t, L=L_fixed,
-                                            beta=beta, theta=theta, h_prev=h_prev,
-                                            metric_diag=np.ones_like(x_new)))
-
-        x_prev2 = x_prev
-        x_prev = x_new
-
-        reason = _stop_reason(problem, stop, F, rel, x_new, t)
-        if reason is not None:
-            stop_reason = reason
-            break
-
-    return RunResult(x=x_prev, trace=trace,
-                     states=states if keep_states else None,
-                     stop_reason=stop_reason, x0=x0)
+    return _drive(problem, stop, x0, step, keep_states)
 
 
 @dataclass
@@ -352,64 +390,27 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
     iterates enter the history.  The trace records the gate decision, with
     beta_used = 0 on rejected candidates.
     """
-    if L_fixed <= 0.0:
-        raise ValueError("fixed curvature constant must be positive")
-    stop = stop or StoppingRule()
+    t, prox_step = _fixed_step(problem, L_fixed, "adca_run")
     x0 = _check_start(problem, x0)
-    t = 1.0 / L_fixed
     schedule = BetaSchedule(family="plain", theta_state=ThetaState(mode="classical"))
     history = AdcaHistory(q)
     history.push(objective(problem, x0))
 
-    x_prev = x0
-    x_prev2 = x0
-    trace: List[TraceRecord] = []
-    states: List[IterationSnapshot] = []
-    t_start = time.perf_counter()
-    stop_reason = "max_iter"
-    violations = 0
-
-    for k in range(1, stop.max_iter + 1):
+    def step(state: IterateState) -> _Step:
+        x_prev = state.x_prev
         beta, theta = schedule.propose(t)
-        z = x_prev + beta * (x_prev - x_prev2)
+        z = x_prev + beta * (x_prev - state.x_prev2)
         if problem.feasible_set.kind != "whole-space":
             z = problem.feasible_set.scaled_project(z)
         gate = objective(problem, z) <= history.max()
         base = z if gate else x_prev
-        h_base = problem.h.subgrad(base)
-        grad_base = problem.f.grad(base)
-        x_new = problem.g.scaled_prox(base - t * (grad_base - h_base), t, None)
+        h = problem.h.subgrad(base)
+        x_new = prox_step(base, h)
         schedule.commit(theta, t)
-        if not sufficient_decrease(problem.f, x_new, base, grad_base, t, None):
-            violations += 1
-            _warn_fixed_step(violations, "adca_run")
+        return _Step(x_new=x_new, y=base, h=h, t=t, L=L_fixed,
+                     beta=beta if gate else 0.0, theta=theta, gate_passed=gate)
 
-        F = objective(problem, x_new)
-        history.push(F)
-        rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
-        trace.append(TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=L_fixed,
-                                 t=t, n_backtracks=0,
-                                 beta_used=beta if gate else 0.0,
-                                 restarted=False,
-                                 wall_clock_seconds=time.perf_counter() - t_start,
-                                 gate_passed=gate))
-        if keep_states:
-            states.append(IterationSnapshot(k=k, x=x_new, y=base, t=t, L=L_fixed,
-                                            beta=beta if gate else 0.0, theta=theta,
-                                            h_prev=h_base,
-                                            metric_diag=np.ones_like(x_new)))
-
-        x_prev2 = x_prev
-        x_prev = x_new
-
-        reason = _stop_reason(problem, stop, F, rel, x_new, t)
-        if reason is not None:
-            stop_reason = reason
-            break
-
-    return RunResult(x=x_prev, trace=trace,
-                     states=states if keep_states else None,
-                     stop_reason=stop_reason, x0=x0)
+    return _drive(problem, stop, x0, step, keep_states, on_value=history.push)
 
 
 # --- audits ----------------------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcprox.accel import (BetaSchedule, ThetaState, beta_contract,
-                          beta_restart, theta_next)
+from dcprox.accel import BetaSchedule, ThetaState, theta_next
 
 GOLDEN = 1.618033988749895
 THETA3 = 2.193527085331054
@@ -47,54 +46,63 @@ def test_theta_next_validation():
 
 
 def test_beta_contract_frozen_value():
-    s = ThetaState(theta_prev=1.0, theta=GOLDEN, t_prev=1.0)
-    beta = beta_contract(s, 0.99, 1.0, 1.0)
+    sched = BetaSchedule(family="contract", delta=0.99,
+                         theta_state=ThetaState(theta_prev=1.0, theta=GOLDEN,
+                                                t_prev=1.0))
+    beta, th = sched.propose(1.0)
     assert beta == pytest.approx(0.27893598987406765, rel=1e-14)
-    # the state advanced and committed
-    assert s.theta_prev == pytest.approx(GOLDEN, rel=1e-15)
-    assert s.theta == pytest.approx(THETA3, rel=1e-15)
+    sched.commit(th, 1.0)
+    assert sched.theta_state.theta_prev == pytest.approx(GOLDEN, rel=1e-15)
+    assert sched.theta_state.theta == pytest.approx(THETA3, rel=1e-15)
 
 
 def test_beta_contract_validation():
-    s = ThetaState()
     with pytest.raises(ValueError):
-        beta_contract(s, 1.0, 1.0, 1.0)
+        BetaSchedule(family="contract", delta=1.0)
     with pytest.raises(ValueError):
-        beta_contract(s, 0.5, 0.0, 1.0)
+        BetaSchedule(family="contract", delta=0.5).propose(0.0)
+
+
+def _advanced(family, T2, legacy_divisibility=False):
+    """Schedule whose last committed pair is (GOLDEN, THETA3)."""
+    return BetaSchedule(family=family, T2=T2,
+                        legacy_divisibility=legacy_divisibility,
+                        theta_state=ThetaState(theta_prev=GOLDEN, theta=THETA3,
+                                               t_prev=1.0))
 
 
 def test_beta_restart_fixed_period():
-    s = ThetaState(theta_prev=GOLDEN, theta=THETA3, t_prev=1.0)
+    sched = BetaSchedule(family="fixed-restart", T2=200,
+                         theta_state=ThetaState(theta_prev=1.0, theta=GOLDEN,
+                                                t_prev=1.0))
     z = np.zeros(2)
-    beta, restarted = beta_restart(s, 199, 200, False, z, z, z)
+    beta, th = sched.propose(1.0)
     assert beta == pytest.approx((GOLDEN - 1.0) / THETA3, rel=1e-15)
-    assert not restarted
-    beta, restarted = beta_restart(s, 200, 200, False, z, z, z)
-    assert restarted
-    assert s.theta == 1.0 and s.theta_prev == 1.0
+    sched.commit(th, 1.0)
+    assert not sched.finish_iteration(199, z, z, z)
+    assert sched.theta_state.theta == th
+    assert sched.finish_iteration(200, z, z, z)
+    assert sched.theta_state.theta == 1.0 and sched.theta_state.theta_prev == 1.0
+    assert sched.propose(1.0)[0] == 0.0
 
 
 def test_beta_restart_legacy_divisibility():
     # the flipped test fires whenever the counter divides the period
     z = np.zeros(1)
-    s = ThetaState(theta_prev=GOLDEN, theta=THETA3)
-    _, restarted = beta_restart(s, 5, 200, False, z, z, z, legacy_divisibility=True)
-    assert restarted
-    s = ThetaState(theta_prev=GOLDEN, theta=THETA3)
-    _, restarted = beta_restart(s, 3, 200, False, z, z, z, legacy_divisibility=True)
-    assert not restarted
+    assert _advanced("fixed-restart", 200, True).finish_iteration(5, z, z, z)
+    assert not _advanced("fixed-restart", 200, True).finish_iteration(3, z, z, z)
 
 
 def test_beta_restart_adaptive_trigger():
-    s = ThetaState(theta_prev=GOLDEN, theta=THETA3)
     x_prev = np.zeros(2)
     x_k = np.array([1.0, 0.0])
     y_aligned = np.array([0.5, 0.0])   # y behind x: momentum still helping
-    _, restarted = beta_restart(s, 7, 1000, True, x_k, x_prev, y_aligned)
-    assert not restarted
+    sched = _advanced("fixed-adaptive-restart", 1000)
+    assert not sched.finish_iteration(7, x_k, x_prev, y_aligned)
     y_over = np.array([2.0, 0.0])      # overshoot: inner product positive
-    _, restarted = beta_restart(s, 7, 1000, True, x_k, x_prev, y_over)
-    assert restarted
+    assert sched.finish_iteration(7, x_k, x_prev, y_over)
+    # the fixed-period family ignores the inner product
+    assert not _advanced("fixed-restart", 1000).finish_iteration(7, x_k, x_prev, y_over)
 
 
 def test_schedule_none_family():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcprox.metric import (AdaGradMetricProvider, DiagonalMetric,
-                           IdentityMetricProvider, MetricSchedule,
-                           SplitGradientMetricProvider, adagrad_metric,
+                           IdentityMetricProvider, SplitGradientMetricProvider,
                            check_schedule_growth, gamma, growth_factor,
                            identity_metric, split_gradient_metric,
                            weighted_norm_sq)
@@ -52,25 +51,27 @@ def test_identity_metric():
 
 def test_adagrad_zero_gradient_floor():
     # sqrt of the epsilon regularizer alone, well inside the first band
-    sched = MetricSchedule(strategy="adagrad")
-    D = adagrad_metric(sched, 1, np.zeros(4))
+    D = AdaGradMetricProvider().trial(1, np.zeros(4), np.zeros(4))
     assert np.allclose(D.diag, 1e-3, rtol=0, atol=1e-18)
 
 
 def test_adagrad_huge_accumulator_clamps_to_band_top():
-    sched = MetricSchedule(strategy="adagrad", accumulator=np.full(3, 1e30))
+    prov = AdaGradMetricProvider()
+    prov.accept(1, np.full(3, 1e15))  # accumulator 1e30
     k = 10**8
-    D = adagrad_metric(sched, k, np.zeros(3))
+    D = prov.trial(k, np.zeros(3), np.zeros(3))
     assert np.allclose(D.diag, gamma(k, 1e13), rtol=1e-15)
 
 
 def test_adagrad_accumulates_squares():
-    sched = MetricSchedule(strategy="adagrad")
+    prov = AdaGradMetricProvider()
     g = np.array([1.0, 2.0])
-    adagrad_metric(sched, 1, g)
-    assert np.allclose(sched.accumulator, [1.0, 4.0])
-    D = adagrad_metric(sched, 2, g)
-    assert np.allclose(sched.accumulator, [2.0, 8.0])
+    prov.accept(1, g)
+    # a trial adds its own gradient to the committed [1, 4]
+    D = prov.trial(2, np.zeros(2), g)
+    assert np.allclose(D.diag, np.sqrt(np.array([2.0, 8.0]) + 1e-6))
+    prov.accept(2, g)
+    D = prov.trial(3, np.zeros(2), np.zeros(2))
     assert np.allclose(D.diag, np.sqrt(np.array([2.0, 8.0]) + 1e-6))
 
 

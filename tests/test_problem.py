@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from conftest import finite_diff_grad
 
-from dcprox.metric import DiagonalMetric
 from dcprox.problem import (DcProblem, EvaluationDomainError, box,
                             criticality_residual, least_squares_smooth,
                             nonnegative_orthant, objective, quadratic_smooth,
@@ -31,15 +30,6 @@ def test_box_projection():
     assert np.array_equal(Y.scaled_project(v), [1.0, -1.0])
     assert Y.contains(np.array([0.5, 0.0]))
     assert not Y.contains(v)
-
-
-def test_projection_ignores_metric():
-    # separable sets project coordinatewise, so any diagonal weighting gives
-    # the same point; this is what lets the metric depend on the trial point
-    Y = box(-1.0, 1.0)
-    v = np.array([2.0, -3.0, 0.25])
-    D = DiagonalMetric(np.array([10.0, 0.1, 5.0]))
-    assert np.array_equal(Y.scaled_project(v, D), Y.scaled_project(v, None))
 
 
 def test_objective_short_circuits_on_infinite_g():

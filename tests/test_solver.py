@@ -265,12 +265,30 @@ def test_relative_error_conventions():
     assert relative_error(-0.5, -0.5) == 0.0
 
 
+# One call shape for the three step policies; spdcae_run ignores L.
+RUNNERS = {
+    "spdcae": lambda prob, L, stop, **kw: spdcae_run(prob, SolverConfig(), stop, **kw),
+    "pdcae": lambda prob, L, stop, **kw: pdcae_run(prob, L, stop=stop, **kw),
+    "adca": lambda prob, L, stop, **kw: adca_run(prob, L, 3, stop, **kw),
+}
+
+
 def test_stopping_rule_validation():
-    with pytest.raises(ValueError):
-        StoppingRule(rel_tol=1e-3)
-    res = spdcae_run(_one_dim_dc(), SolverConfig(), StoppingRule(max_iter=0),
-                     x0=np.array([2.0]))
+    bad = [dict(rel_tol=1e-3), dict(max_iter=-1),
+           dict(ref_value=1.0, rel_tol=float("nan")), dict(crit_tol=-1.0),
+           dict(ref_value=1.0, rel_tol=-1e-3), dict(f_target=float("nan")),
+           dict(ref_value=float("inf")), dict(crit_tol=float("inf"))]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            StoppingRule(**kwargs)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_zero_iteration_cap_returns_start(runner):
+    res = RUNNERS[runner](_one_dim_dc(), 1.0, StoppingRule(max_iter=0),
+                          x0=np.array([2.0]))
     assert res.n_iterations == 0
+    assert res.stop_reason == "max_iter"
     assert np.array_equal(res.x, [2.0])
     assert np.isnan(res.F_final)
 
@@ -280,6 +298,26 @@ def test_infeasible_start_rejected():
     prob = build_poisson_problem(pdata)
     with pytest.raises(ValueError):
         spdcae_run(prob, SolverConfig(), x0=-np.ones(10))
+    # non-finite starts of a whole-space problem, where g and the set accept them
+    lasso = _lasso_problem()[0]
+    for bad in (np.nan, np.inf):
+        x0 = np.zeros(10)
+        x0[3] = bad
+        with pytest.raises(ValueError):
+            spdcae_run(lasso, SolverConfig(), x0=x0)
+
+
+@pytest.mark.parametrize("runner", ["pdcae", "adca"])
+def test_divergent_fixed_step_stops_nonfinite(runner):
+    prob, A, yv, lam, L = _lasso_problem(seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = RUNNERS[runner](prob, L / 50.0, StoppingRule(max_iter=2000),
+                              x0=np.zeros(10))
+    assert res.stop_reason == "nonfinite"
+    assert res.n_iterations == {"pdcae": 80, "adca": 92}[runner]
+    assert not np.isfinite(res.F_final)
+    assert all(np.isfinite(r.F_value) for r in res.trace[:-1])
 
 
 def test_convex_loop_rejects_concave_part():
@@ -307,12 +345,17 @@ def test_audits_require_snapshots():
         extrapolation_slacks(res)
 
 
-def test_trace_bookkeeping():
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_trace_bookkeeping(runner):
     data, _ = gen_logreg(30, 8, rng=8)
     prob = build_logreg_problem(data)
-    res = spdcae_run(prob, SolverConfig(), StoppingRule(max_iter=60),
-                     x0=np.zeros(8), keep_states=True)
+    res = RUNNERS[runner](prob, logistic_lipschitz_bound(data),
+                          StoppingRule(max_iter=60), x0=np.zeros(8),
+                          keep_states=True)
     assert res.n_iterations == len(res.trace) == len(res.states) == 60
+    assert [s.k for s in res.states] == list(range(1, 61))
+    assert np.array_equal(res.x, res.states[-1].x)
+    assert all((r.gate_passed is not None) == (runner == "adca") for r in res.trace)
     assert res.F_final == res.trace[-1].F_value
     ks = [r.k for r in res.trace]
     assert ks == list(range(1, 61))
