@@ -7,7 +7,7 @@ momentum safe.  Both are checkable after the fact from stored snapshots,
 and the convex mode additionally carries a per-iteration energy certificate.
 A run that violates any of these has a bug, a bad metric, or a broken
 oracle; this demo shows all three audits coming back clean, plus the trace
-CSV round trip the command line tools consume.
+CSV round trip (descent slacks included) the command line tools consume.
 
 Run:  python3 demos/diagnostics_audit.py
 """
@@ -28,7 +28,7 @@ data, _ = gen_logreg(200, 40, rng=1)
 problem = build_logreg_problem(data)
 res = spdcae_run(problem, SolverConfig(metric="adagrad"),
                  StoppingRule(max_iter=400), x0=np.zeros(40),
-                 keep_states=True)
+                 keep_states=True, diagnostics=True)
 
 descent = descent_inequality_slacks(problem, res)
 extrap = extrapolation_slacks(res)
@@ -55,7 +55,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "trace.csv"
     write_trace_csv(path, res.trace)
     back = read_trace_csv(path)
-    exact = all(a.F_value == b.F_value and a.k == b.k
-                for a, b in zip(res.trace, back))
-    print(f"\ntrace CSV round trip: {len(back)} rows, values exact: {exact}")
+    exact = back == res.trace  # every field, floats bit for bit
+    print(f"\ntrace CSV round trip: {len(back)} rows, every field exact: {exact}")
     print("the same file passes `dcprox check --trace ...`")

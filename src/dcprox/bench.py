@@ -351,8 +351,23 @@ def run_matrix(config: RunConfig) -> BenchResult:
 
 # --- persistence ---------------------------------------------------------------
 
-TRACE_HEADER = ["k", "F", "rel_err", "L", "t", "backtracks", "beta",
-                "restarted", "seconds"]
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, not {cell!r}")
+    return cell == "1"
+
+
+# (column, TraceRecord field, parser); an empty cell reads back as None in
+# the optional columns.
+_TRACE_COLUMNS = (("k", "k", int), ("F", "F_value", float),
+                  ("rel_err", "rel_error", float), ("L", "L_accepted", float),
+                  ("t", "t", float), ("backtracks", "n_backtracks", int),
+                  ("beta", "beta_used", float), ("restarted", "restarted", _flag),
+                  ("seconds", "wall_clock_seconds", float),
+                  ("descent_slack", "descent_slack", float),
+                  ("gate_passed", "gate_passed", _flag))
+_OPTIONAL_COLUMNS = {"rel_err", "descent_slack", "gate_passed"}
+TRACE_HEADER = [column for column, _, _ in _TRACE_COLUMNS]
 
 
 def _fmt(x) -> str:
@@ -366,17 +381,16 @@ def _fmt(x) -> str:
 
 
 def write_trace_csv(path, trace: List[TraceRecord]) -> None:
+    """One row per record, one column per TraceRecord field; lossless."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for rec in trace:
-            writer.writerow([_fmt(rec.k), _fmt(rec.F_value), _fmt(rec.rel_error),
-                             _fmt(rec.L_accepted), _fmt(rec.t),
-                             _fmt(rec.n_backtracks), _fmt(rec.beta_used),
-                             _fmt(rec.restarted), _fmt(rec.wall_clock_seconds)])
+            writer.writerow([_fmt(getattr(rec, name)) for _, name, _ in _TRACE_COLUMNS])
 
 
 def read_trace_csv(path) -> List[TraceRecord]:
+    """Inverse of ``write_trace_csv``; any other header is a ConfigError."""
     out: List[TraceRecord] = []
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -384,13 +398,11 @@ def read_trace_csv(path) -> List[TraceRecord]:
         if header != TRACE_HEADER:
             raise ConfigError(f"unexpected trace header: {header}")
         for row in reader:
-            out.append(TraceRecord(
-                k=int(row[0]), F_value=float(row[1]),
-                rel_error=float(row[2]) if row[2] else None,
-                L_accepted=float(row[3]), t=float(row[4]),
-                n_backtracks=int(row[5]), beta_used=float(row[6]),
-                restarted=row[7] == "1",
-                wall_clock_seconds=float(row[8])))
+            if len(row) != len(TRACE_HEADER):
+                raise ConfigError(f"trace row {reader.line_num} has {len(row)} fields")
+            out.append(TraceRecord(**{
+                name: None if cell == "" and column in _OPTIONAL_COLUMNS else parse(cell)
+                for (column, name, parse), cell in zip(_TRACE_COLUMNS, row)}))
     return out
 
 

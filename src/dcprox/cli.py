@@ -139,31 +139,39 @@ def _cmd_bench(args) -> int:
 
 
 def _audit_trace(path) -> list:
-    failures = []
     trace = read_trace_csv(path)
     if not trace:
         return [f"{path}: empty trace"]
-
-    ks = [rec.k for rec in trace]
-    if all(b > a for a, b in zip(ks, ks[1:])):
-        print(f"check {path}: iteration-counter-increasing ok")
-    else:
-        failures.append(f"{path}: iteration counter not increasing")
-
-    if all(np.isfinite(rec.F_value) for rec in trace):
-        print(f"check {path}: objective-finite ok")
-    else:
-        failures.append(f"{path}: non-finite objective value")
-
-    if all(abs(rec.t * rec.L_accepted - 1.0) <= 1e-9 for rec in trace):
-        print(f"check {path}: step-size-consistent ok")
-    else:
-        failures.append(f"{path}: step size inconsistent with accepted L")
-
-    if all(rec.n_backtracks >= 0 for rec in trace):
-        print(f"check {path}: backtrack-count-nonnegative ok")
-    else:
-        failures.append(f"{path}: negative backtrack count")
+    pairs = list(zip(trace, trace[1:]))
+    # the descent bound's round-off floor, scaled by the previous objective
+    # (the first record, lacking one, uses its own)
+    F_prev = [trace[0].F_value] + [rec.F_value for rec in trace[:-1]]
+    audits = [
+        ("iteration-counter-increasing", all(b.k > a.k for a, b in pairs),
+         "iteration counter not increasing"),
+        ("objective-finite", all(np.isfinite(rec.F_value) for rec in trace),
+         "non-finite objective value"),
+        ("step-size-consistent",
+         all(abs(rec.t * rec.L_accepted - 1.0) <= 1e-9 for rec in trace),
+         "step size inconsistent with accepted L"),
+        ("backtrack-count-nonnegative", all(rec.n_backtracks >= 0 for rec in trace),
+         "negative backtrack count"),
+        ("rejected-gate-zero-beta",
+         all(rec.beta_used == 0.0 for rec in trace if rec.gate_passed is False),
+         "nonzero extrapolation weight on a rejected gate"),
+        ("restart-zero-beta", all(b.beta_used == 0.0 for a, b in pairs if a.restarted),
+         "nonzero extrapolation weight right after a restart"),
+        ("descent-slack-floor",
+         all(rec.descent_slack >= -1e-10 * max(1.0, abs(F))
+             for rec, F in zip(trace, F_prev) if rec.descent_slack is not None),
+         "descent slack below its round-off floor"),
+    ]
+    failures = []
+    for name, ok, problem in audits:
+        if ok:
+            print(f"check {path}: {name} ok")
+        else:
+            failures.append(f"{path}: {problem}")
     return failures
 
 

@@ -9,13 +9,13 @@ is periodically deflated so step sizes can grow again).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .metric import DiagonalMetric, weighted_norm_sq
-from .problem import DcProblem, SmoothOracle
+from .problem import DcProblem
 
 Array = np.ndarray
 
@@ -95,6 +95,7 @@ class LineSearchOutcome:
     L: float
     t: float
     x_new: Array
+    f_new: float
     y: Array
     n_backtracks: int
     beta: float
@@ -125,18 +126,15 @@ def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
     return max(config.L_floor, guess)
 
 
-def sufficient_decrease(f: SmoothOracle, x: Array, y: Array, grad_y: Array,
+def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
                         t: float, D: Optional[DiagonalMetric]) -> bool:
-    """Quadratic upper bound test in the metric D.
+    """Quadratic upper bound test in the metric D, for d = x - y.
 
-    f(x) <= f(y) + <grad_y, x - y> + ||x - y||_D^2 / (2 t), with a relative
-    slack of 1e-12 * max(1, |f(y)|) so exact-curvature steps are accepted.
+    f(x) <= f(y) + <grad_y, d> + ||d||_D^2 / (2 t), with a relative slack of
+    1e-12 * max(1, |f(y)|) so exact-curvature steps are accepted.
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
-    fy = float(f.eval(y))
-    fx = float(f.eval(x))
-    d = x - y
     bound = fy + float(np.dot(grad_y, d)) + weighted_norm_sq(d, D) / (2.0 * t)
     return fx <= bound + _DECREASE_SLACK * max(1.0, abs(fy))
 
@@ -151,7 +149,9 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     extrapolated point (classical weights do not depend on t) and only
     re-solves the prox subproblem.  Providers are not committed here: the
     caller records the accepted theta and gradient.  ``state.h_prev`` must
-    hold the subgradient of h at ``state.x_prev``.
+    hold the subgradient of h at ``state.x_prev``.  The smooth term is called
+    once per extrapolated point (``value_grad``) and once per trial point
+    (``eval``).
     """
     k = state.k
     x_prev, x_prev2 = state.x_prev, state.x_prev2
@@ -159,28 +159,20 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)
     monotone = config.mode == "monotone"
 
-    beta = theta = 0.0
-    y = grad_y = None
-    D: DiagonalMetric | None = None
-    if monotone:
-        t = 1.0 / L
-        beta, theta = beta_provider.propose(t)
-        y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - x_prev2))
-        grad_y = problem.f.grad(y)
-        D = metric_provider.trial(k, y, grad_y)
-
     for i in range(config.max_inner):
         t = 1.0 / L
-        if not monotone:
+        if i == 0 or not monotone:
             beta, theta = beta_provider.propose(t)
             y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - x_prev2))
-            grad_y = problem.f.grad(y)
+            f_y, grad_y = problem.f.value_grad(y)
             D = metric_provider.trial(k, y, grad_y)
         step = y - t * (grad_y - h_prev) / D.diag
         x_new = problem.g.scaled_prox(step, t, D)
-        if sufficient_decrease(problem.f, x_new, y, grad_y, t, D):
-            return LineSearchOutcome(L=L, t=t, x_new=x_new, y=y, n_backtracks=i,
-                                     beta=beta, theta=theta, grad_y=grad_y, metric=D)
+        f_new = problem.f.eval(x_new)
+        if sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D):
+            return LineSearchOutcome(L=L, t=t, x_new=x_new, f_new=f_new, y=y,
+                                     n_backtracks=i, beta=beta, theta=theta,
+                                     grad_y=grad_y, metric=D)
         L = config.eta * L
 
     raise LineSearchError(

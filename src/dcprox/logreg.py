@@ -49,22 +49,25 @@ class LogRegData:
         return self.A.shape[1]
 
 
-def _softplus(z: Array) -> Array:
-    # log(1 + exp(z)) without overflow: max(z, 0) + log1p(exp(-|z|)).
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _mean_softplus(z: Array) -> float:
+    # mean of log(1 + exp(z)) without overflow: max(z, 0) + log1p(exp(-|z|)).
+    return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+
+
+def logistic_value(data: LogRegData, x: Array) -> float:
+    """Averaged logistic loss (1/m) sum_i log(1 + exp(-b_i <a_i, x>))."""
+    return _mean_softplus(-data.b * (data.A @ x))
 
 
 def logistic_value_grad(data: LogRegData, x: Array) -> tuple[float, Array]:
-    """Averaged logistic loss and its gradient at x.
+    """Averaged logistic loss and its gradient at x, from one forward product.
 
     value = (1/m) sum_i log(1 + exp(-b_i <a_i, x>)),
     grad  = -(1/m) A^T (b * sigmoid(-b * A x)).
     """
-    margins = data.A @ x
-    z = -data.b * margins
-    value = float(np.mean(_softplus(z)))
+    z = -data.b * (data.A @ x)
     grad = -(data.A.T @ (data.b * expit(z))) / data.m
-    return value, np.asarray(grad)
+    return _mean_softplus(z), np.asarray(grad)
 
 
 def l1_scaled_prox(v: Array, t: float, lam: float,
@@ -139,36 +142,10 @@ def l2_concave(lam: float) -> ConcavePartOracle:
         subgrad=lambda x: l2_subgradient(x, lam))
 
 
-def _cached(forward):
-    """Memoize a matrix-vector forward pass on the most recent argument."""
-    cache = {"x": None, "out": None}
-
-    def wrapped(x: Array):
-        if cache["x"] is not None and x.shape == cache["x"].shape \
-                and np.array_equal(x, cache["x"]):
-            return cache["out"]
-        out = forward(x)
-        cache["x"] = x.copy()
-        cache["out"] = out
-        return out
-
-    return wrapped
-
-
 def build_logreg_problem(data: LogRegData) -> DcProblem:
-    """Assemble the composite problem; the forward pass is shared between
-    value and gradient calls at the same point."""
-
-    margins_at = _cached(lambda x: data.A @ x)
-
-    def value(x: Array) -> float:
-        return float(np.mean(_softplus(-data.b * margins_at(x))))
-
-    def grad(x: Array) -> Array:
-        s = expit(-data.b * margins_at(x))
-        return -np.asarray(data.A.T @ (data.b * s)) / data.m
-
-    return DcProblem(f=SmoothOracle(eval=value, grad=grad),
+    """Assemble the composite problem around the logistic loss oracles."""
+    return DcProblem(f=SmoothOracle(eval=lambda x: logistic_value(data, x),
+                                    value_grad=lambda x: logistic_value_grad(data, x)),
                      g=l1_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=whole_space(),

@@ -66,6 +66,17 @@ def _intensity(data: PoissonCsData, x: Array) -> Array:
     return c
 
 
+def _kl_at(data: PoissonCsData, c: Array) -> float:
+    b = data.b
+    pos = b > 0.0
+    return float(np.sum(c) - np.sum(b) + np.sum(b[pos] * np.log(b[pos] / c[pos])))
+
+
+def kl_value(data: PoissonCsData, x: Array) -> float:
+    """KL divergence between counts and model intensity c = A x + bg."""
+    return _kl_at(data, _intensity(data, x))
+
+
 def kl_value_grad(data: PoissonCsData, x: Array) -> tuple[float, Array]:
     """KL divergence between counts and model intensity, with its gradient.
 
@@ -73,12 +84,7 @@ def kl_value_grad(data: PoissonCsData, x: Array) -> tuple[float, Array]:
     b_i = 0 contribute c_i.  grad = A^T (1 - b / c).
     """
     c = _intensity(data, x)
-    b = data.b
-    pos = b > 0.0
-    value = float(np.sum(c) - np.sum(b)
-                  + np.sum(b[pos] * np.log(b[pos] / c[pos])))
-    grad = data.A.T @ (1.0 - b / c)
-    return value, grad
+    return _kl_at(data, c), data.A.T @ (1.0 - data.b / c)
 
 
 def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
@@ -121,40 +127,17 @@ def l1_nonneg_proximable(lam: float) -> ProximableOracle:
 
 
 def build_poisson_problem(data: PoissonCsData) -> DcProblem:
-    """Assemble the composite problem; the intensity pass is shared between
-    value, gradient, and split calls at the same point."""
-
-    cache = {"x": None, "c": None}
-
-    def intensity(x: Array) -> Array:
-        if cache["x"] is not None and x.shape == cache["x"].shape \
-                and np.array_equal(x, cache["x"]):
-            return cache["c"]
-        c = _intensity(data, x)
-        cache["x"] = x.copy()
-        cache["c"] = c
-        return c
-
-    b = data.b
-    pos = b > 0.0
-    b_pos = b[pos]
+    """Assemble the composite problem around the KL oracles; the split's
+    V = A^T 1 is computed once here."""
     col_sums = data.A.T @ np.ones(data.m)
     if np.any(col_sums <= 0.0):
         raise ValueError("sensing matrix has a zero column")
 
-    def value(x: Array) -> float:
-        c = intensity(x)
-        return float(np.sum(c) - np.sum(b) + np.sum(b_pos * np.log(b_pos / c[pos])))
-
-    def grad(x: Array) -> Array:
-        c = intensity(x)
-        return data.A.T @ (1.0 - b / c)
-
     def split(x: Array) -> tuple[Array, Array]:
-        c = intensity(x)
-        return data.A.T @ (b / c), col_sums
+        return data.A.T @ (data.b / _intensity(data, x)), col_sums
 
-    return DcProblem(f=SmoothOracle(eval=value, grad=grad),
+    return DcProblem(f=SmoothOracle(eval=lambda x: kl_value(data, x),
+                                    value_grad=lambda x: kl_value_grad(data, x)),
                      g=l1_nonneg_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=nonnegative_orthant(),

@@ -3,7 +3,9 @@
 f is smooth convex, g is closed convex with an inexpensive (scaled) proximal
 map, h is convex and continuous, and dom g is contained in a closed convex set
 Y on which f is smooth.  Oracles are plain records of callables so problems
-can be assembled from closed-form pieces without subclassing.
+can be assembled from closed-form pieces without subclassing.  The smooth
+term answers ``eval(x)`` and the fused ``value_grad(x)``, so each point the
+solvers visit costs one call; ``objective`` reuses an f(x) already known.
 """
 
 from __future__ import annotations
@@ -29,14 +31,17 @@ class EvaluationDomainError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothOracle:
-    """Value and gradient of the smooth convex term.
+    """Value, and value with gradient, of the smooth convex term.
 
-    Both callables must be finite on the feasible set and deterministic:
-    equal inputs give equal outputs.
+    Both callables must be finite on the feasible set and deterministic, and
+    ``value_grad(x)[0]`` must equal ``eval(x)`` exactly.
     """
 
     eval: Callable[[Array], float]
-    grad: Callable[[Array], Array]
+    value_grad: Callable[[Array], Tuple[float, Array]]
+
+    def grad(self, x: Array) -> Array:
+        return self.value_grad(x)[1]
 
 
 @dataclass(frozen=True)
@@ -126,16 +131,18 @@ class DcProblem:
     grad_split: Callable[[Array], Tuple[Array, Array]] | None = None
 
 
-def objective(problem: DcProblem, x: Array) -> float:
+def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:
     """F(x) = f(x) + g(x) - h(x); +inf when x is outside dom g.
 
-    Domain violations of f raise EvaluationDomainError instead of returning
-    +inf, since the solvers never evaluate f at such points.
+    ``f_x``, when given, is taken as f(x) and f is not evaluated.  Domain
+    violations of f raise EvaluationDomainError instead of returning +inf,
+    since the solvers never evaluate f at such points.
     """
     gx = problem.g.eval(x)
     if gx == math.inf:
         return math.inf
-    return float(problem.f.eval(x)) + float(gx) - float(problem.h.eval(x))
+    f_x = problem.f.eval(x) if f_x is None else f_x
+    return float(f_x) + float(gx) - float(problem.h.eval(x))
 
 
 def criticality_residual(problem: DcProblem, x: Array, t: float) -> float:
@@ -166,11 +173,11 @@ def quadratic_smooth(center: Array, curvature: float = 1.0) -> SmoothOracle:
     c = np.asarray(center, dtype=float)
     L = float(curvature)
 
-    def value(x: Array) -> float:
+    def value_grad(x: Array) -> Tuple[float, Array]:
         d = x - c
-        return 0.5 * L * float(np.dot(d, d))
+        return 0.5 * L * float(np.dot(d, d)), L * d
 
-    return SmoothOracle(eval=value, grad=lambda x: L * (x - c))
+    return SmoothOracle(eval=lambda x: value_grad(x)[0], value_grad=value_grad)
 
 
 def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
@@ -182,4 +189,8 @@ def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
         r = A @ x - y
         return 0.5 * float(np.dot(r, r))
 
-    return SmoothOracle(eval=value, grad=lambda x: A.T @ (A @ x - y))
+    def value_grad(x: Array) -> Tuple[float, Array]:
+        r = A @ x - y
+        return 0.5 * float(np.dot(r, r)), A.T @ r
+
+    return SmoothOracle(eval=value, value_grad=value_grad)

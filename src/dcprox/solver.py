@@ -188,6 +188,7 @@ class _Step:
     """Accepted step: prox taken at ``y`` with subgradient ``h``; metric None is identity."""
 
     x_new: Array
+    f_new: float
     y: Array
     h: Array
     t: float
@@ -219,7 +220,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     for k in range(1, stop.max_iter + 1):
         state.k = k
         s = step(state)
-        F = objective(problem, s.x_new)
+        F = objective(problem, s.x_new, s.f_new)
         if on_value is not None:
             on_value(F)
         rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
@@ -279,8 +280,8 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
         metric_provider.accept(state.k, out.grad_y)
         restarted = beta_schedule.finish_iteration(state.k, out.x_new,
                                                    state.x_prev, out.y)
-        return _Step(x_new=out.x_new, y=out.y, h=state.h_prev, t=out.t, L=out.L,
-                     beta=out.beta, theta=out.theta,
+        return _Step(x_new=out.x_new, f_new=out.f_new, y=out.y, h=state.h_prev,
+                     t=out.t, L=out.L, beta=out.beta, theta=out.theta,
                      n_backtracks=out.n_backtracks, restarted=restarted,
                      metric=out.metric)
 
@@ -305,26 +306,28 @@ def sfista_run(problem: DcProblem, config: SolverConfig,
 
 
 def _fixed_step(problem: DcProblem, L_fixed: float, where: str):
-    """Step size t = 1/L_fixed and ``prox_step(base, h)``, the identity-metric
-    proximal step of size t from ``base``; it warns once per run when the
-    descent bound fails.
+    """Step size t = 1/L_fixed and ``prox_step(base, h, f_base, grad_base)``,
+    the identity-metric proximal step of size t from ``base``, returning x_new
+    and f(x_new); it warns once per run when the descent bound fails.
     """
     if L_fixed <= 0.0:
         raise ValueError("fixed curvature constant must be positive")
     t = 1.0 / L_fixed
     warned = False
 
-    def prox_step(base: Array, h: Array) -> Array:
+    def prox_step(base: Array, h: Array, f_base: float,
+                  grad_base: Array) -> tuple[Array, float]:
         nonlocal warned
-        grad = problem.f.grad(base)
-        x_new = problem.g.scaled_prox(base - t * (grad - h), t, None)
-        if not sufficient_decrease(problem.f, x_new, base, grad, t, None) and not warned:
+        x_new = problem.g.scaled_prox(base - t * (grad_base - h), t, None)
+        f_new = problem.f.eval(x_new)
+        if not warned and not sufficient_decrease(f_new, f_base, grad_base,
+                                                  x_new - base, t, None):
             warned = True
             # stack: prox_step < policy step < _drive < public runner < caller
             warnings.warn(f"{where}: fixed step violates the descent bound; "
                           "the supplied curvature constant is likely too small",
                           RuntimeWarning, stacklevel=5)
-        return x_new
+        return x_new, f_new
 
     return t, prox_step
 
@@ -350,11 +353,11 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
         h = problem.h.subgrad(x_prev)
         beta, theta = restart_config.propose(t)
         y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
-        x_new = prox_step(y, h)
+        x_new, f_new = prox_step(y, h, *problem.f.value_grad(y))
         restart_config.commit(theta, t)
         restarted = restart_config.finish_iteration(state.k, x_new, x_prev, y)
-        return _Step(x_new=x_new, y=y, h=h, t=t, L=L_fixed, beta=beta,
-                     theta=theta, restarted=restarted)
+        return _Step(x_new=x_new, f_new=f_new, y=y, h=h, t=t, L=L_fixed,
+                     beta=beta, theta=theta, restarted=restarted)
 
     return _drive(problem, stop, x0, step, keep_states)
 
@@ -402,12 +405,14 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
         z = x_prev + beta * (x_prev - state.x_prev2)
         if problem.feasible_set.kind != "whole-space":
             z = problem.feasible_set.scaled_project(z)
-        gate = objective(problem, z) <= history.max()
+        f_z, grad_z = problem.f.value_grad(z)
+        gate = objective(problem, z, f_z) <= history.max()
         base = z if gate else x_prev
+        f_base, grad_base = (f_z, grad_z) if gate else problem.f.value_grad(x_prev)
         h = problem.h.subgrad(base)
-        x_new = prox_step(base, h)
+        x_new, f_new = prox_step(base, h, f_base, grad_base)
         schedule.commit(theta, t)
-        return _Step(x_new=x_new, y=base, h=h, t=t, L=L_fixed,
+        return _Step(x_new=x_new, f_new=f_new, y=base, h=h, t=t, L=L_fixed,
                      beta=beta if gate else 0.0, theta=theta, gate_passed=gate)
 
     return _drive(problem, stop, x0, step, keep_states, on_value=history.push)

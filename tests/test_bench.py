@@ -1,5 +1,11 @@
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcprox.bench import (BenchResult, ConfigError, RunConfig, _first_hits,
                           read_summary_csv, read_trace_csv, run_matrix,
@@ -81,34 +87,42 @@ def test_first_hits_handles_misses_and_missing_errors():
     assert hits[0.1] is None and hits[0.01] is None
 
 
-def test_trace_csv_round_trip(tmp_path):
-    trace = [
-        TraceRecord(k=1, F_value=1.2345678901234567, rel_error=None,
-                    L_accepted=0.123, t=1.0 / 0.123, n_backtracks=3,
-                    beta_used=0.0, restarted=False, wall_clock_seconds=0.5),
-        TraceRecord(k=2, F_value=-7.25, rel_error=1e-16, L_accepted=4.0,
-                    t=0.25, n_backtracks=0, beta_used=0.61803,
-                    restarted=True, wall_clock_seconds=1.0),
-    ]
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
-    back = read_trace_csv(path)
-    assert len(back) == 2
-    for a, b in zip(trace, back):
-        assert a.k == b.k
-        assert a.F_value == b.F_value  # repr round-trips doubles exactly
-        assert a.rel_error == b.rel_error
-        assert a.L_accepted == b.L_accepted
-        assert a.t == b.t
-        assert a.n_backtracks == b.n_backtracks
-        assert a.beta_used == b.beta_used
-        assert a.restarted == b.restarted
-        assert a.wall_clock_seconds == b.wall_clock_seconds
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_records = st.builds(
+    TraceRecord, k=st.integers(), F_value=_finite,
+    rel_error=st.none() | _finite, L_accepted=_finite, t=_finite,
+    n_backtracks=st.integers(), beta_used=_finite, restarted=st.booleans(),
+    wall_clock_seconds=_finite, descent_slack=st.none() | _finite,
+    gate_passed=st.none() | st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_records, max_size=5))
+@example([TraceRecord(k=1, F_value=1.2345678901234567, rel_error=None,
+                      L_accepted=0.123, t=1.0 / 0.123, n_backtracks=3,
+                      beta_used=0.0, restarted=False, wall_clock_seconds=0.5),
+          TraceRecord(k=2, F_value=-7.25, rel_error=1e-16, L_accepted=4.0,
+                      t=0.25, n_backtracks=0, beta_used=0.61803, restarted=True,
+                      wall_clock_seconds=1.0, descent_slack=-3e-13,
+                      gate_passed=False)])
+def test_trace_csv_round_trip(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(path, trace)
+        back = read_trace_csv(path)
+    # every field, floats exactly: repr round-trips doubles
+    assert [dataclasses.astuple(r) for r in back] == \
+        [dataclasses.astuple(r) for r in trace]
 
 
 def test_trace_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
+    with pytest.raises(ConfigError):
+        read_trace_csv(path)
+    # the nine-column header of the format without slack and gate columns
+    path.write_text("k,F,rel_err,L,t,backtracks,beta,restarted,seconds\n"
+                    "1,1.0,,1.0,1.0,0,0.0,0,0.1\n")
     with pytest.raises(ConfigError):
         read_trace_csv(path)
 

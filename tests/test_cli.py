@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from dcprox.bench import read_summary_csv, read_trace_csv
+from dcprox.bench import read_summary_csv, read_trace_csv, write_trace_csv
 from dcprox.cli import main
 from dcprox.datasets import load_dataset_json
-from dcprox.logreg import build_logreg_problem
+from dcprox.logreg import build_logreg_problem, l1_proximable, l2_concave
 from dcprox.poisson import build_poisson_problem
+from dcprox.problem import DcProblem, least_squares_smooth, whole_space
+from dcprox.solver import SolverConfig, StoppingRule, adca_run, spdcae_run
 
 
 def _write_config(path, **over):
@@ -99,7 +101,61 @@ def test_check_passes_on_real_outputs(tmp_path, capsys):
     assert "objective-finite ok" in out
     assert "step-size-consistent ok" in out
     assert "backtrack-count-nonnegative ok" in out
+    assert "rejected-gate-zero-beta ok" in out
+    assert "restart-zero-beta ok" in out
+    assert "descent-slack-floor ok" in out
     assert "first-hit-monotone ok" in out
+
+
+def _solver_traces():
+    """An adca trace with rejected gates and an spdcae trace with restarts
+    and descent slacks, both on an l1 - l2 least-squares problem."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 40))
+    y = rng.standard_normal(30)
+    prob = DcProblem(f=least_squares_smooth(A, y), g=l1_proximable(0.5),
+                     h=l2_concave(0.5), feasible_set=whole_space())
+    L = float(np.linalg.eigvalsh(A.T @ A).max())
+    stop = StoppingRule(max_iter=150)
+    gated = adca_run(prob, L, 0, stop, x0=np.zeros(40)).trace
+    restarted = spdcae_run(prob, SolverConfig(T2=10), stop, x0=np.zeros(40),
+                           diagnostics=True).trace
+    return gated, restarted
+
+
+def test_check_passes_on_solver_traces(tmp_path, capsys):
+    gated, restarted = _solver_traces()
+    assert any(rec.gate_passed is False for rec in gated)
+    assert any(rec.restarted for rec in restarted[:-1])
+    assert all(rec.descent_slack is not None for rec in restarted)
+    paths = []
+    for name, trace in (("gated", gated), ("restarted", restarted)):
+        paths += ["--trace", str(tmp_path / f"{name}.csv")]
+        write_trace_csv(paths[-1], trace)
+    assert main(["check", *paths]) == 0
+
+
+@pytest.mark.parametrize("audit", ["gate", "restart", "slack"])
+def test_check_flags_doctored_trace(tmp_path, capsys, audit):
+    gated, restarted = _solver_traces()
+    if audit == "gate":
+        trace = gated
+        i = next(i for i, rec in enumerate(trace) if rec.gate_passed is False)
+        trace[i].beta_used = 0.5
+        message = "rejected gate"
+    elif audit == "restart":
+        trace = restarted
+        i = next(i for i, rec in enumerate(trace[:-1]) if rec.restarted)
+        trace[i + 1].beta_used = 0.5
+        message = "right after a restart"
+    else:
+        trace = restarted
+        trace[3].descent_slack = -1e-6 * max(1.0, abs(trace[2].F_value))
+        message = "descent slack"
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert main(["check", "--trace", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_check_flags_corrupted_trace(tmp_path, capsys):

@@ -64,14 +64,18 @@ def test_initial_L_respects_floor():
 def test_sufficient_decrease_quadratic_threshold():
     f = quadratic_smooth(np.zeros(1), curvature=4.0)
     y = np.array([1.0])
-    g = f.grad(y)
+    fy, g = f.value_grad(y)
     x_quarter = y - 0.25 * g
     x_half = y - 0.5 * g
-    assert sufficient_decrease(f, x_quarter, y, g, 0.25, None)
-    assert not sufficient_decrease(f, x_half, y, g, 0.5, None)
+
+    def holds(x, t, D):
+        return sufficient_decrease(f.eval(x), fy, g, x - y, t, D)
+
+    assert holds(x_quarter, 0.25, None)
+    assert not holds(x_half, 0.5, None)
     # a heavier metric compensates for the longer step: D / t is what counts
-    assert sufficient_decrease(f, x_half, y, g, 0.5, DiagonalMetric(np.array([2.0])))
-    assert not sufficient_decrease(f, x_half, y, g, 0.5, DiagonalMetric(np.array([1.5])))
+    assert holds(x_half, 0.5, DiagonalMetric(np.array([2.0])))
+    assert not holds(x_half, 0.5, DiagonalMetric(np.array([1.5])))
 
 
 def test_backtrack_doubles_until_curvature():
@@ -91,7 +95,8 @@ def test_backtrack_doubles_until_curvature():
 
 def test_backtrack_exhaustion_raises_with_context():
     # a gradient oracle with the wrong sign can never satisfy the bound
-    f = SmoothOracle(eval=lambda x: 0.5 * float(x @ x), grad=lambda x: -10.0 * x)
+    f = SmoothOracle(eval=lambda x: 0.5 * float(x @ x),
+                     value_grad=lambda x: (0.5 * float(x @ x), -10.0 * x))
     prob = DcProblem(f=f, g=zero_proximable(), h=zero_concave(),
                      feasible_set=whole_space())
     cfg = BacktrackConfig(mode="nonmonotone", max_inner=5, L_init=1.0)

@@ -3,12 +3,13 @@ import pytest
 import scipy.sparse as sp
 from conftest import finite_diff_grad, golden_section
 
-from dcprox.datasets import gen_logreg
+from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave, l2_subgradient,
                            logistic_lipschitz_bound, logistic_value_grad)
 from dcprox.metric import DiagonalMetric
-from dcprox.problem import objective
+from dcprox.poisson import build_poisson_problem
+from dcprox.problem import least_squares_smooth, objective, quadratic_smooth
 
 
 def test_single_point_values():
@@ -145,16 +146,40 @@ def test_problem_assembly():
     assert prob.lower_bound_hint == 0.0
 
 
-def test_cached_oracle_tracks_argument_changes():
-    data, _ = gen_logreg(15, 4, rng=2)
-    prob = build_logreg_problem(data)
-    fresh = lambda x: logistic_value_grad(data, x)
+def _smooth_case(kind):
+    """(oracle, points, exact gradient or None for finite differences)."""
     rng = np.random.default_rng(8)
-    xs = [rng.standard_normal(4) for _ in range(4)]
-    # interleave evaluations to try to confuse the one-slot cache
+    if kind == "quadratic":
+        c = rng.standard_normal(4)
+        return (quadratic_smooth(c, curvature=3.0),
+                [rng.standard_normal(4) for _ in range(4)], lambda x: 3.0 * (x - c))
+    if kind == "least-squares":
+        A = rng.standard_normal((7, 4))
+        y = rng.standard_normal(7)
+        return (least_squares_smooth(A, y),
+                [rng.standard_normal(4) for _ in range(4)], lambda x: A.T @ (A @ x - y))
+    if kind == "logreg":
+        data, _ = gen_logreg(15, 4, rng=2)
+        return (build_logreg_problem(data).f,
+                [rng.standard_normal(4) for _ in range(4)], None)
+    data, _ = gen_poisson_cs(n=4, m=6, k_nonzeros=2, amp_max=50.0, rng=4)
+    return (build_poisson_problem(data).f,
+            [rng.uniform(0.5, 3.0, 4) for _ in range(4)], None)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "least-squares", "logreg", "poisson"])
+def test_value_grad_matches_eval(kind):
+    f, xs, exact = _smooth_case(kind)
+    # interleave points: no call may depend on the previous argument
     for x in (xs[0], xs[1], xs[0], xs[2], xs[3], xs[2]):
-        assert prob.f.eval(x) == pytest.approx(fresh(x)[0], rel=1e-14)
-        assert np.allclose(prob.f.grad(x), fresh(x)[1], rtol=1e-14)
+        value, grad = f.value_grad(x)
+        assert value == f.eval(x)
+        assert np.array_equal(f.grad(x), grad)
+        if exact is not None:
+            assert np.allclose(grad, exact(x), rtol=1e-14, atol=1e-14)
+        else:
+            fd = finite_diff_grad(f.eval, x, step=1e-7)
+            assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_oracle_factories():

@@ -10,7 +10,7 @@ from dcprox.logreg import (build_logreg_problem, l1_proximable, l1_scaled_prox,
                            l2_concave, logistic_lipschitz_bound)
 from dcprox.metric import gamma
 from dcprox.poisson import build_poisson_problem
-from dcprox.problem import (DcProblem, criticality_residual,
+from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
                             least_squares_smooth, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
 from dcprox.solver import (AdcaHistory, RunResult, SolverConfig, StoppingRule,
@@ -390,3 +390,43 @@ def test_custom_restart_schedule_for_fixed_step():
     sched = BetaSchedule(family="none")
     res = pdcae_run(prob, L, sched, StoppingRule(max_iter=100), x0=np.zeros(10))
     assert all(r.beta_used == 0.0 for r in res.trace)
+
+
+@pytest.mark.parametrize("runner", ["spdcae-nonmonotone", "spdcae-monotone",
+                                    "pdcae", "adca"])
+def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
+    # curvature 4 under a step of 1/8: no trial ever backtracks
+    def run(n_iter):
+        counts = {"eval": 0, "value_grad": 0}
+        f = quadratic_smooth(np.array([1.0, -2.0]), curvature=4.0)
+
+        def counted(name):
+            def call(x):
+                counts[name] += 1
+                return getattr(f, name)(x)
+            return call
+
+        prob = DcProblem(f=SmoothOracle(eval=counted("eval"),
+                                        value_grad=counted("value_grad")),
+                         g=zero_proximable(), h=zero_concave(),
+                         feasible_set=whole_space())
+        stop = StoppingRule(max_iter=n_iter)
+        x0 = np.zeros(2)
+        if runner.startswith("spdcae"):
+            bt = BacktrackConfig(mode=runner.split("-")[1], L_init=8.0, L_floor=8.0)
+            res = spdcae_run(prob, SolverConfig(backtrack=bt), stop, x0=x0)
+        elif runner == "pdcae":
+            res = pdcae_run(prob, 8.0, stop=stop, x0=x0)
+        else:
+            res = adca_run(prob, 8.0, 1, stop, x0=x0)
+        return res, counts
+
+    # the calls of iteration 4 alone, net of the setup's
+    res, before = run(3)
+    res, after = run(4)
+    assert res.n_iterations == 4
+    assert all(rec.n_backtracks == 0 for rec in res.trace)
+    if runner == "adca":
+        assert all(rec.gate_passed for rec in res.trace)
+        assert res.trace[-1].beta_used > 0.0
+    assert {k: after[k] - before[k] for k in after} == {"eval": 1, "value_grad": 1}
