@@ -16,8 +16,7 @@ from .datasets import (ParseError, RngSpec, gen_logreg, gen_poisson_cs,
                        read_libsvm, resample_counts, save_dataset_json,
                        write_libsvm)
 from .linesearch import (BacktrackConfig, IterateState, LineSearchError,
-                         LineSearchOutcome, backtrack_step, initial_L,
-                         sufficient_decrease)
+                         backtrack_step, initial_L, sufficient_decrease)
 from .logreg import (LogRegData, build_logreg_problem, l1_proximable,
                      l1_scaled_prox, l2_concave, l2_subgradient,
                      logistic_lipschitz_bound, logistic_value_grad)
@@ -45,7 +44,7 @@ __all__ = [
     "AdaGradMetricProvider", "BacktrackConfig", "BenchResult", "BetaSchedule",
     "ConcavePartOracle", "ConfigError", "DcProblem", "DiagonalMetric",
     "EvaluationDomainError", "FeasibleSet", "IdentityMetricProvider",
-    "IterateState", "LineSearchError", "LineSearchOutcome", "LogRegData",
+    "IterateState", "LineSearchError", "LogRegData",
     "ParseError", "PoissonCsData", "ProximableOracle",
     "RngSpec", "RunConfig", "RunResult", "SmoothOracle", "SolverConfig",
     "SplitGradientMetricProvider", "StoppingRule", "SummaryRow",

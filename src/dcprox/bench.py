@@ -15,11 +15,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .accel import BetaSchedule, ThetaState
 from .datasets import (gen_logreg, gen_poisson_cs, load_dataset_json,
                        make_rng, read_libsvm, resample_counts)
 from .linesearch import BacktrackConfig
@@ -36,11 +37,69 @@ class ConfigError(ValueError):
     """Invalid run configuration; the command line maps this to exit code 2."""
 
 
-_SOLVER_NAMES = ("spdcae1", "spdcae0", "pdcae1", "pdcae0", "pdcae", "adca")
+# Problem kind -> {key: (parser, default)}; a default of ... marks a required key.
+_PROBLEM_KEYS = {
+    "logreg-synthetic": {"m": (int, ...), "n": (int, ...),
+                         "sparsity_of_truth": (float, 0.1), "noise_rate": (float, 0.05),
+                         "data_seed": (int, 0), "lambda": (float, 1e-3),
+                         "scale_decades": (float, 2.0)},
+    "poisson-synthetic": {"n": (int, ...), "m": (int, ...), "k_nonzeros": (int, 20),
+                          "amp_max": (float, 1e5), "p": (float, 0.9),
+                          "bg": (float, 1e-10), "data_seed": (int, 0),
+                          "lambda": (float, 1e-3)},
+    "logreg-file": {"path": (str, ...), "n_features": (int, None),
+                    "lambda": (float, 1e-3)},
+    "dataset-json": {"path": (str, ...)},
+}
 
-_CONFIG_KEYS = {"problem", "solvers", "tolerances", "seeds", "max_iter",
-                "reference_solver", "reference_iterations", "reference_seed",
-                "out_dir"}
+# Solver name -> {key: parser}; a line-search profile takes the
+# BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
+_BACKTRACK_KEYS = {"eta": float, "T1": int, "rho": float, "L_floor": float,
+                   "L_init": float, "max_inner": int, "deflate_when_divisible": bool}
+_SOLVER_KEYS = {
+    **dict.fromkeys(("spdcae1", "spdcae0", "pdcae1", "pdcae0"), {
+        **_BACKTRACK_KEYS, "beta_family": str, "delta": float, "T2": int,
+        "legacy_restart_divisibility": bool, "metric": str, "epsilon": float,
+        "clamp_numerator": float}),
+    "pdcae": {"L": float, "beta_family": str, "T2": int},
+    "adca": {"L": float, "q": int},
+}
+
+
+def _parse_keys(entry: dict, label: str, parsers: dict) -> dict:
+    """Every key of ``entry`` but ``label`` (its kind or name), parsed; an
+    unknown key or an unparsable value is a ConfigError naming the key."""
+    where = f"{label} {entry[label]!r}"
+    out = {}
+    for key, value in entry.items():
+        if key == label:
+            continue
+        if key not in parsers:
+            raise ConfigError(f"unknown key {key!r} for {where}")
+        try:
+            out[key] = parsers[key](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid value {value!r} of {key!r} for {where}") from None
+    return out
+
+
+def _problem_options(pcfg: dict) -> dict:
+    """Every option of the problem's kind, parsed, with defaults filled in."""
+    table = _PROBLEM_KEYS.get(pcfg["kind"])
+    if table is None:
+        raise ConfigError(f"unknown problem kind: {pcfg['kind']!r}")
+    out = {key: default for key, (_, default) in table.items()}
+    out.update(_parse_keys(pcfg, "kind", {k: p for k, (p, _) in table.items()}))
+    missing = [key for key, value in out.items() if value is ...]
+    if missing:
+        raise ConfigError(f"problem config is missing {missing[0]!r}")
+    return out
+
+
+def _solver_options(scfg: dict) -> dict:
+    if scfg["name"] not in _SOLVER_KEYS:
+        raise ConfigError(f"unknown solver: {scfg['name']!r}")
+    return _parse_keys(scfg, "name", _SOLVER_KEYS[scfg["name"]])
 
 
 @dataclass
@@ -60,13 +119,13 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.problem, dict) or "kind" not in self.problem:
             raise ConfigError("problem must be a mapping with a 'kind'")
+        _problem_options(self.problem)
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         for s in self.solvers:
             if not isinstance(s, dict) or "name" not in s:
                 raise ConfigError("each solver entry needs a 'name'")
-            if s["name"] not in _SOLVER_NAMES:
-                raise ConfigError(f"unknown solver: {s['name']!r}")
+            _solver_options(s)
         if not self.tolerances or any(t <= 0.0 for t in self.tolerances):
             raise ConfigError("tolerances must be positive")
         if any(a <= b for a, b in zip(self.tolerances, self.tolerances[1:])):
@@ -75,15 +134,15 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if self.max_iter < 1 or self.reference_iterations < 0:
             raise ConfigError("iteration budgets must be positive")
-        if self.reference_solver not in _SOLVER_NAMES:
+        if self.reference_solver not in _SOLVER_KEYS:
             raise ConfigError(f"unknown reference solver: {self.reference_solver!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - _CONFIG_KEYS
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        missing = {"problem", "solvers", "tolerances", "seeds"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing configuration keys: {sorted(missing)}")
         try:
@@ -121,43 +180,28 @@ class _Base:
     L_hint: Optional[float] = None
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"problem config is missing {key!r}")
-    return cfg[key]
-
-
 def _build_base(pcfg: dict) -> _Base:
     kind = pcfg["kind"]
+    p = _problem_options(pcfg)
     if kind == "logreg-synthetic":
-        data, w = gen_logreg(int(_require(pcfg, "m")), int(_require(pcfg, "n")),
-                             sparsity_of_truth=float(pcfg.get("sparsity_of_truth", 0.1)),
-                             noise_rate=float(pcfg.get("noise_rate", 0.05)),
-                             rng=int(pcfg.get("data_seed", 0)),
-                             lam=float(pcfg.get("lambda", 1e-3)),
-                             scale_decades=float(pcfg.get("scale_decades", 2.0)))
+        data, w = gen_logreg(p["m"], p["n"],
+                             sparsity_of_truth=p["sparsity_of_truth"],
+                             noise_rate=p["noise_rate"], rng=p["data_seed"],
+                             lam=p["lambda"], scale_decades=p["scale_decades"])
         return _Base("logreg", data, w, build_logreg_problem(data))
     if kind == "poisson-synthetic":
-        data, x_true = gen_poisson_cs(n=int(_require(pcfg, "n")),
-                                      m=int(_require(pcfg, "m")),
-                                      k_nonzeros=int(pcfg.get("k_nonzeros", 20)),
-                                      amp_max=float(pcfg.get("amp_max", 1e5)),
-                                      p=float(pcfg.get("p", 0.9)),
-                                      bg=float(pcfg.get("bg", 1e-10)),
-                                      rng=int(pcfg.get("data_seed", 0)),
-                                      lam=float(pcfg.get("lambda", 1e-3)))
+        data, x_true = gen_poisson_cs(n=p["n"], m=p["m"], k_nonzeros=p["k_nonzeros"],
+                                      amp_max=p["amp_max"], p=p["p"], bg=p["bg"],
+                                      rng=p["data_seed"], lam=p["lambda"])
         return _Base("poisson", data, x_true, None)
     if kind == "logreg-file":
-        A, labels = read_libsvm(_require(pcfg, "path"),
-                                n_features=pcfg.get("n_features"))
-        data = LogRegData(A=A, b=labels, lam=float(pcfg.get("lambda", 1e-3)))
+        A, labels = read_libsvm(p["path"], n_features=p["n_features"])
+        data = LogRegData(A=A, b=labels, lam=p["lambda"])
         return _Base("logreg", data, None, build_logreg_problem(data))
-    if kind == "dataset-json":
-        stored_kind, data, truth, _ = load_dataset_json(_require(pcfg, "path"))
-        if stored_kind == "logreg":
-            return _Base("logreg", data, truth, build_logreg_problem(data))
-        return _Base("poisson", data, truth, None)
-    raise ConfigError(f"unknown problem kind: {kind!r}")
+    stored_kind, data, truth, _ = load_dataset_json(p["path"])
+    if stored_kind == "logreg":
+        return _Base("logreg", data, truth, build_logreg_problem(data))
+    return _Base("poisson", data, truth, None)
 
 
 def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
@@ -178,7 +222,7 @@ def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
 
 def _fixed_L(base: _Base, overrides: dict) -> float:
     if "L" in overrides:
-        return float(overrides["L"])
+        return overrides["L"]
     if base.kind == "logreg":
         if base.L_hint is None:
             base.L_hint = logistic_lipschitz_bound(base.data)
@@ -187,55 +231,39 @@ def _fixed_L(base: _Base, overrides: dict) -> float:
 
 
 def _profile(name: str, base_kind: str, overrides: dict) -> SolverConfig:
+    """Line-search profile ``name`` for the problem family; ``overrides``
+    are parsed and replace the family defaults."""
     scaled = name in ("spdcae1", "spdcae0")
     monotone = name in ("spdcae0", "pdcae0")
+    bt = {"mode": "monotone" if monotone else "nonmonotone"}
     if base_kind == "logreg":
-        metric = "adagrad" if scaled else "identity"
-        L_init = 1.0 if scaled else 0.1
-        eta = 2.0
-        max_inner = 100
+        cfg = {"metric": "adagrad" if scaled else "identity"}
+        bt.update(eta=2.0, L_init=1.0 if scaled else 0.1, max_inner=100)
     else:
-        metric = "split-gradient" if scaled else "identity"
-        L_init = 0.1 if scaled else 1e-5
-        eta = 2.0 if not monotone else 1.2
+        cfg = {"metric": "split-gradient" if scaled else "identity"}
         # monotone profiles may need ~1e8 inflation on the first iteration
-        max_inner = 200
-    bt = BacktrackConfig(
-        mode="monotone" if monotone else "nonmonotone",
-        eta=float(overrides.get("eta", eta)),
-        T1=int(overrides.get("T1", 5)),
-        rho=float(overrides.get("rho", 0.5)),
-        L_floor=float(overrides.get("L_floor", 1e-10)),
-        L_init=float(overrides.get("L_init", L_init)),
-        max_inner=int(overrides.get("max_inner", max_inner)),
-        deflate_when_divisible=bool(overrides.get("deflate_when_divisible", False)))
-    return SolverConfig(
-        backtrack=bt,
-        beta_family=str(overrides.get("beta_family", "fixed-adaptive-restart")),
-        delta=float(overrides.get("delta", 0.99)),
-        T2=int(overrides.get("T2", 200)),
-        legacy_restart_divisibility=bool(overrides.get("legacy_restart_divisibility", False)),
-        metric=str(overrides.get("metric", metric)),
-        epsilon=float(overrides.get("epsilon", 1e-6)),
-        clamp_numerator=float(overrides.get("clamp_numerator", 1e13)))
+        bt.update(eta=1.2 if monotone else 2.0, L_init=0.1 if scaled else 1e-5,
+                  max_inner=200)
+    for key, value in overrides.items():
+        (bt if key in _BACKTRACK_KEYS else cfg)[key] = value
+    return SolverConfig(backtrack=BacktrackConfig(**bt), **cfg)
 
 
 def _run_cell(name: str, overrides: dict, base: _Base, problem: DcProblem,
               x0: Array, stop: StoppingRule) -> RunResult:
+    """One run of solver ``name`` with its parsed ``overrides``."""
     if name in ("spdcae1", "spdcae0", "pdcae1", "pdcae0"):
         return spdcae_run(problem, _profile(name, base.kind, overrides),
                           stop, x0=x0)
     if name == "pdcae":
-        from .accel import BetaSchedule, ThetaState
         schedule = BetaSchedule(
-            family=str(overrides.get("beta_family", "fixed-adaptive-restart")),
-            T2=int(overrides.get("T2", 200)),
-            theta_state=ThetaState(mode="classical"))
+            family=overrides.get("beta_family", "fixed-adaptive-restart"),
+            T2=overrides.get("T2", 200), theta_state=ThetaState(mode="classical"))
         return pdcae_run(problem, _fixed_L(base, overrides), schedule,
                          stop, x0=x0)
     if name == "adca":
         return adca_run(problem, _fixed_L(base, overrides),
-                        int(overrides.get("q", 3)), stop, x0=x0)
+                        overrides.get("q", 3), stop, x0=x0)
     raise ConfigError(f"unknown solver: {name!r}")
 
 
@@ -258,12 +286,7 @@ def run_reference(config: RunConfig) -> float:
     realization.  Deterministic for a fixed configuration.
     """
     base = _build_base(config.problem)
-    if base.kind == "logreg":
-        problem = base.problem
-        x0 = make_rng(config.reference_seed).random(base.data.n)
-    else:
-        problem, x0 = _instance(base, config.reference_seed)
-    return _reference_value(config, base, problem, x0)
+    return _reference_value(config, base, *_instance(base, config.reference_seed))
 
 
 def _first_hits(trace: List[TraceRecord], tolerances: List[float]):
@@ -301,8 +324,7 @@ def run_matrix(config: RunConfig) -> BenchResult:
     base = _build_base(config.problem)
     shared_ref: Optional[float] = None
     if base.kind == "logreg":
-        x0_ref = make_rng(config.reference_seed).random(base.data.n)
-        shared_ref = _reference_value(config, base, base.problem, x0_ref)
+        shared_ref = _reference_value(config, base, *_instance(base, config.reference_seed))
 
     runs: Dict[Tuple[str, int], RunResult] = {}
     references: Dict[int, float] = {}
@@ -321,8 +343,7 @@ def run_matrix(config: RunConfig) -> BenchResult:
                             rel_tol=tightest)
         for scfg in config.solvers:
             name = scfg["name"]
-            overrides = {k: v for k, v in scfg.items() if k != "name"}
-            result = _run_cell(name, overrides, base, problem, x0, stop)
+            result = _run_cell(name, _solver_options(scfg), base, problem, x0, stop)
             runs[(name, seed)] = result
             hits[(name, seed)] = _first_hits(result.trace, config.tolerances)
 

@@ -89,19 +89,29 @@ class IterateState:
 
 
 @dataclass
-class LineSearchOutcome:
-    """Accepted trial of one outer iteration."""
+class IterationSnapshot:
+    """Accepted iteration k, as every step policy returns it and the loop
+    keeps it: x with f = f(x), from the prox step of size t = 1/L at y with
+    the h-subgradient h_prev; beta and theta gave y; metric None is identity.
+    """
 
-    L: float
-    t: float
-    x_new: Array
-    f_new: float
+    k: int
+    x: Array
+    f: float
     y: Array
-    n_backtracks: int
+    h_prev: Array
+    t: float
+    L: float
     beta: float
     theta: float
-    grad_y: Array
-    metric: DiagonalMetric
+    n_backtracks: int = 0
+    restarted: bool = False
+    gate_passed: bool | None = None
+    metric: DiagonalMetric | None = None
+
+    @property
+    def metric_diag(self) -> Array:
+        return np.ones_like(self.x) if self.metric is None else self.metric.diag
 
 
 def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
@@ -140,15 +150,17 @@ def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
 
 
 def backtrack_step(problem: DcProblem, config: BacktrackConfig,
-                   state: IterateState, beta_provider, metric_provider) -> LineSearchOutcome:
+                   state: IterateState, beta_provider,
+                   metric_provider) -> IterationSnapshot:
     """Run one outer iteration's inner loop and return the accepted trial.
 
     ``beta_provider.propose(t)`` and ``metric_provider.trial(k, y, grad_y)``
     are re-evaluated inside every trial in non-monotone mode, since the
     coupled weight depends on the trial step size; monotone mode fixes the
     extrapolated point (classical weights do not depend on t) and only
-    re-solves the prox subproblem.  Providers are not committed here: the
-    caller records the accepted theta and gradient.  ``state.h_prev`` must
+    re-solves the prox subproblem.  On acceptance the providers are committed,
+    ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
+    grad_y)``; the restart rule is left to the caller.  ``state.h_prev`` must
     hold the subgradient of h at ``state.x_prev``.  The smooth term is called
     once per extrapolated point (``value_grad``) and once per trial point
     (``eval``).
@@ -170,9 +182,11 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
         x_new = problem.g.scaled_prox(step, t, D)
         f_new = problem.f.eval(x_new)
         if sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D):
-            return LineSearchOutcome(L=L, t=t, x_new=x_new, f_new=f_new, y=y,
-                                     n_backtracks=i, beta=beta, theta=theta,
-                                     grad_y=grad_y, metric=D)
+            beta_provider.commit(theta, t)
+            metric_provider.accept(k, grad_y)
+            return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, h_prev=h_prev,
+                                     t=t, L=L, beta=beta, theta=theta,
+                                     n_backtracks=i, metric=D)
         L = config.eta * L
 
     raise LineSearchError(

@@ -100,10 +100,14 @@ def growth_factor(D_prev: DiagonalMetric, D_next: DiagonalMetric) -> float:
 
 
 class IdentityMetricProvider:
-    """Constant identity metric."""
+    """Constant identity metric, built on the first trial and then reused."""
+
+    _metric: DiagonalMetric | None = None
 
     def trial(self, k: int, y: Array, grad_y: Array) -> DiagonalMetric:
-        return identity_metric(y.shape[0])
+        if self._metric is None:
+            self._metric = identity_metric(y.shape[0])
+        return self._metric
 
     def accept(self, k: int, grad_y: Array) -> None:
         pass
@@ -137,16 +141,16 @@ class AdaGradMetricProvider:
 class SplitGradientMetricProvider:
     """Diagonal from the positive split of the gradient at the trial point.
 
-    ``v_fn`` maps a feasible point y to the strictly positive split
-    denominator V(y).
+    ``V`` is the strictly positive split denominator; the gradient split
+    -grad f = U - V it comes from has a constant V.
     """
 
-    def __init__(self, v_fn, clamp_numerator: float = DEFAULT_CLAMP_NUMERATOR):
-        self.v_fn = v_fn
+    def __init__(self, V: Array, clamp_numerator: float = DEFAULT_CLAMP_NUMERATOR):
+        self.V = V
         self.clamp_numerator = float(clamp_numerator)
 
     def trial(self, k: int, y: Array, grad_y: Array) -> DiagonalMetric:
-        return split_gradient_metric(k, y, self.v_fn(y), self.clamp_numerator)
+        return split_gradient_metric(k, y, self.V, self.clamp_numerator)
 
     def accept(self, k: int, grad_y: Array) -> None:
         pass

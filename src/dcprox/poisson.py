@@ -4,8 +4,8 @@ Model: minimize KL(b, A x + bg) + lam ||x||_1 - lam ||x||_2 over x >= 0,
 where KL(b, c) = sum_i b_i log(b_i / c_i) + c_i - b_i (a zero count
 contributes just c_i).  The nonnegativity constraint rides inside the
 proximable term, so the prox is a one-sided soft threshold.  The gradient
-splits as -grad KL = U - V with U = A^T (b / (A x + bg)) >= 0 and
-V = A^T 1 > 0, which feeds the split-gradient metric.
+splits as -grad KL = U - V with U = A^T (b / (A x + bg)) >= 0 and the
+constant V = A^T 1 > 0, which the problem carries for the split-gradient metric.
 """
 
 from __future__ import annotations
@@ -127,19 +127,15 @@ def l1_nonneg_proximable(lam: float) -> ProximableOracle:
 
 
 def build_poisson_problem(data: PoissonCsData) -> DcProblem:
-    """Assemble the composite problem around the KL oracles; the split's
-    V = A^T 1 is computed once here."""
+    """Assemble the composite problem around the KL oracles, with the split's
+    constant V = A^T 1 as the split-gradient metric's denominator."""
     col_sums = data.A.T @ np.ones(data.m)
     if np.any(col_sums <= 0.0):
         raise ValueError("sensing matrix has a zero column")
-
-    def split(x: Array) -> tuple[Array, Array]:
-        return data.A.T @ (data.b / _intensity(data, x)), col_sums
-
     return DcProblem(f=SmoothOracle(eval=lambda x: kl_value(data, x),
                                     value_grad=lambda x: kl_value_grad(data, x)),
                      g=l1_nonneg_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=nonnegative_orthant(),
                      lower_bound_hint=0.0,
-                     grad_split=split)
+                     split_denominator=col_sums)

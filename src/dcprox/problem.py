@@ -118,9 +118,10 @@ def box(lo, hi) -> FeasibleSet:
 class DcProblem:
     """Problem record bundling the three terms and the feasible set.
 
-    ``grad_split``, when present, maps x to a pair (U, V) of nonnegative and
-    strictly positive vectors with U - V = -grad f(x); it feeds the
-    split-gradient metric strategy.  ``lower_bound_hint`` is metadata only.
+    ``split_denominator``, when present, is the strictly positive constant V
+    of a gradient split -grad f(x) = U(x) - V with U(x) >= 0; it is the
+    denominator of the split-gradient metric.  ``lower_bound_hint`` is
+    metadata only.
     """
 
     f: SmoothOracle
@@ -128,7 +129,7 @@ class DcProblem:
     h: ConcavePartOracle
     feasible_set: FeasibleSet
     lower_bound_hint: float | None = None
-    grad_split: Callable[[Array], Tuple[Array, Array]] | None = None
+    split_denominator: Array | None = None
 
 
 def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:

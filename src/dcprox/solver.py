@@ -25,8 +25,8 @@ from typing import List, Optional
 import numpy as np
 
 from .accel import BetaSchedule, ThetaState
-from .linesearch import (BacktrackConfig, IterateState, backtrack_step,
-                         sufficient_decrease)
+from .linesearch import (BacktrackConfig, IterateState, IterationSnapshot,
+                         backtrack_step, sufficient_decrease)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
                      weighted_norm_sq)
@@ -91,21 +91,6 @@ class TraceRecord:
 
 
 @dataclass
-class IterationSnapshot:
-    """Everything an audit needs to re-check iteration k's inequalities."""
-
-    k: int
-    x: Array
-    y: Array
-    t: float
-    L: float
-    beta: float
-    theta: float
-    h_prev: Array
-    metric_diag: Array
-
-
-@dataclass
 class RunResult:
     """Solver output: final iterate, per-iteration trace, optional snapshots."""
 
@@ -153,9 +138,9 @@ def _make_metric_provider(config: SolverConfig, problem: DcProblem):
         return AdaGradMetricProvider(epsilon=config.epsilon,
                                      clamp_numerator=config.clamp_numerator)
     if config.metric == "split-gradient":
-        if problem.grad_split is None:
-            raise ValueError("split-gradient metric needs problem.grad_split")
-        return SplitGradientMetricProvider(lambda y: problem.grad_split(y)[1],
+        if problem.split_denominator is None:
+            raise ValueError("split-gradient metric needs problem.split_denominator")
+        return SplitGradientMetricProvider(problem.split_denominator,
                                            clamp_numerator=config.clamp_numerator)
     raise ValueError(f"unknown metric strategy: {config.metric!r}")
 
@@ -183,32 +168,15 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
     return None
 
 
-@dataclass
-class _Step:
-    """Accepted step: prox taken at ``y`` with subgradient ``h``; metric None is identity."""
-
-    x_new: Array
-    f_new: float
-    y: Array
-    h: Array
-    t: float
-    L: float
-    beta: float
-    theta: float
-    n_backtracks: int = 0
-    restarted: bool = False
-    gate_passed: bool | None = None
-    metric: DiagonalMetric | None = None
-
-
 def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
            keep_states: bool, diagnostics: bool = False,
            on_value=None) -> RunResult:
     """Outer loop shared by every runner.
 
-    ``step(state)`` returns the ``_Step`` taken from ``state.x_prev`` (and
-    ``state.x_prev2``) at iteration ``state.k``; ``on_value`` receives each
-    accepted objective value.
+    ``step(state)`` returns the ``IterationSnapshot`` taken from
+    ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
+    kept as is under ``keep_states``.  ``on_value`` receives each accepted
+    objective value.
     """
     stop = stop or StoppingRule()
     state = IterateState(x_prev=x0, x_prev2=x0)
@@ -216,11 +184,12 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     states: List[IterationSnapshot] = []
     t_start = time.perf_counter()
     stop_reason = "max_iter"
+    F_prev = objective(problem, x0) if diagnostics else None
 
     for k in range(1, stop.max_iter + 1):
         state.k = k
         s = step(state)
-        F = objective(problem, s.x_new, s.f_new)
+        F = objective(problem, s.x, s.f)
         if on_value is not None:
             on_value(F)
         rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
@@ -230,20 +199,18 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
                              wall_clock_seconds=time.perf_counter() - t_start,
                              gate_passed=s.gate_passed)
         if diagnostics:
-            record.descent_slack = descent_slack(problem, state.x_prev, s.h, s.y,
-                                                 s.x_new, s.t, s.metric)
+            record.descent_slack = _slack(F_prev, F, state.x_prev, s.y, s.x,
+                                          s.t, s.metric)
+            F_prev = F
         trace.append(record)
         if keep_states:
-            diag = np.ones_like(s.x_new) if s.metric is None else s.metric.diag
-            states.append(IterationSnapshot(k=k, x=s.x_new, y=s.y, t=s.t, L=s.L,
-                                            beta=s.beta, theta=s.theta,
-                                            h_prev=s.h, metric_diag=diag))
+            states.append(s)
 
         state.x_prev2 = state.x_prev
-        state.x_prev = s.x_new
+        state.x_prev = s.x
         state.L_prev = s.L
 
-        reason = _stop_reason(problem, stop, F, rel, s.x_new, s.t)
+        reason = _stop_reason(problem, stop, F, rel, s.x, s.t)
         if reason is not None:
             stop_reason = reason
             break
@@ -272,18 +239,12 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
     beta_schedule = _make_beta_schedule(config)
     metric_provider = _make_metric_provider(config, problem)
 
-    def step(state: IterateState) -> _Step:
+    def step(state: IterateState) -> IterationSnapshot:
         state.h_prev = problem.h.subgrad(state.x_prev)
-        out = backtrack_step(problem, config.backtrack, state,
-                             beta_schedule, metric_provider)
-        beta_schedule.commit(out.theta, out.t)
-        metric_provider.accept(state.k, out.grad_y)
-        restarted = beta_schedule.finish_iteration(state.k, out.x_new,
-                                                   state.x_prev, out.y)
-        return _Step(x_new=out.x_new, f_new=out.f_new, y=out.y, h=state.h_prev,
-                     t=out.t, L=out.L, beta=out.beta, theta=out.theta,
-                     n_backtracks=out.n_backtracks, restarted=restarted,
-                     metric=out.metric)
+        s = backtrack_step(problem, config.backtrack, state,
+                           beta_schedule, metric_provider)
+        s.restarted = beta_schedule.finish_iteration(state.k, s.x, state.x_prev, s.y)
+        return s
 
     return _drive(problem, stop, x0, step, keep_states, diagnostics)
 
@@ -348,7 +309,7 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
         restart_config = BetaSchedule(family="fixed-adaptive-restart", T2=200,
                                       theta_state=ThetaState(mode="classical"))
 
-    def step(state: IterateState) -> _Step:
+    def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
         h = problem.h.subgrad(x_prev)
         beta, theta = restart_config.propose(t)
@@ -356,8 +317,9 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
         x_new, f_new = prox_step(y, h, *problem.f.value_grad(y))
         restart_config.commit(theta, t)
         restarted = restart_config.finish_iteration(state.k, x_new, x_prev, y)
-        return _Step(x_new=x_new, f_new=f_new, y=y, h=h, t=t, L=L_fixed,
-                     beta=beta, theta=theta, restarted=restarted)
+        return IterationSnapshot(k=state.k, x=x_new, f=f_new, y=y, h_prev=h,
+                                 t=t, L=L_fixed, beta=beta, theta=theta,
+                                 restarted=restarted)
 
     return _drive(problem, stop, x0, step, keep_states)
 
@@ -399,7 +361,7 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
     history = AdcaHistory(q)
     history.push(objective(problem, x0))
 
-    def step(state: IterateState) -> _Step:
+    def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
         beta, theta = schedule.propose(t)
         z = x_prev + beta * (x_prev - state.x_prev2)
@@ -412,8 +374,9 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
         h = problem.h.subgrad(base)
         x_new, f_new = prox_step(base, h, f_base, grad_base)
         schedule.commit(theta, t)
-        return _Step(x_new=x_new, f_new=f_new, y=base, h=h, t=t, L=L_fixed,
-                     beta=beta if gate else 0.0, theta=theta, gate_passed=gate)
+        return IterationSnapshot(k=state.k, x=x_new, f=f_new, y=base, h_prev=h,
+                                 t=t, L=L_fixed, beta=beta if gate else 0.0,
+                                 theta=theta, gate_passed=gate)
 
     return _drive(problem, stop, x0, step, keep_states, on_value=history.push)
 
@@ -432,19 +395,23 @@ def descent_slack(problem: DcProblem, x: Array, h_x: Array, y: Array,
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
-    rhs = objective(problem, x) + (weighted_norm_sq(x - y, D)
-                                   - weighted_norm_sq(x - y_bar, D)) / (2.0 * t)
-    return rhs - objective(problem, y_bar)
+    return _slack(objective(problem, x), objective(problem, y_bar), x, y,
+                  y_bar, t, D)
 
 
-def _iter_pairs(result: RunResult):
-    """Yield (x_prev, snapshot) pairs over recorded iterations."""
+def _slack(F_x: float, F_y_bar: float, x: Array, y: Array, y_bar: Array,
+           t: float, D: DiagonalMetric | None) -> float:
+    """``descent_slack`` from the known values F(x) and F(y_bar)."""
+    rhs = F_x + (weighted_norm_sq(x - y, D) - weighted_norm_sq(x - y_bar, D)) / (2.0 * t)
+    return rhs - F_y_bar
+
+
+def _iterates(result: RunResult):
+    """(x_{k-2}, x_{k-1}, snapshot k) over the recorded iterations, x_{-1} = x_0."""
     if result.states is None:
         raise ValueError("run was made without keep_states=True")
-    x_prev = result.x0
-    for snap in result.states:
-        yield x_prev, snap
-        x_prev = snap.x
+    xs = [result.x0, result.x0] + [snap.x for snap in result.states]
+    return zip(xs, xs[1:], result.states)
 
 
 def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarray:
@@ -454,7 +421,7 @@ def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarr
                         - ||x_k - x_{k-1}||_D^2/(2 t_k).
     """
     slacks = []
-    for x_prev, snap in _iter_pairs(result):
+    for _, x_prev, snap in _iterates(result):
         D = DiagonalMetric(snap.metric_diag)
         slacks.append(descent_slack(problem, x_prev, snap.h_prev, snap.y,
                                     snap.x, snap.t, D))
@@ -463,17 +430,11 @@ def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarr
 
 def extrapolation_slacks(result: RunResult) -> np.ndarray:
     """Per-iteration slack of ||x_{k-1} - y_k||_D^2 <= beta_k^2 ||x_{k-1} - x_{k-2}||_D^2."""
-    if result.states is None:
-        raise ValueError("run was made without keep_states=True")
     slacks = []
-    x_prev, x_prev2 = result.x0, result.x0
-    for snap in result.states:
+    for x_prev2, x_prev, snap in _iterates(result):
         D = DiagonalMetric(snap.metric_diag)
-        lhs = D.norm_sq(x_prev - snap.y)
-        rhs = snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
-        slacks.append(rhs - lhs)
-        x_prev2 = x_prev
-        x_prev = snap.x
+        slacks.append(snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
+                      - D.norm_sq(x_prev - snap.y))
     return np.asarray(slacks)
 
 
@@ -490,18 +451,17 @@ def sfista_lyapunov(problem: DcProblem, x_star: Array, phi_star: float,
     both norms in the iteration-k metric.  Returns rhs - lhs per iteration;
     nonnegative when the coupled theta schedule ran unrestarted.
     """
-    if result.states is None:
-        raise ValueError("run was made without keep_states=True")
+    iterates = _iterates(result)
     x_star = np.asarray(x_star, dtype=float)
     slacks = []
     v_prev = result.x0
     t_prev = 0.0
     theta_prev = 1.0
     F_prev = objective(problem, result.x0)
-    for x_prev, snap in _iter_pairs(result):
+    for _, x_prev, snap in iterates:
         D = DiagonalMetric(snap.metric_diag)
         v_k = x_prev + snap.theta * (snap.x - x_prev)
-        F_k = objective(problem, snap.x)
+        F_k = objective(problem, snap.x, snap.f)
         lhs = snap.t * snap.theta ** 2 * (F_k - phi_star) + 0.5 * D.norm_sq(x_star - v_k)
         rhs = t_prev * theta_prev ** 2 * (F_prev - phi_star) + 0.5 * D.norm_sq(x_star - v_prev)
         slacks.append(rhs - lhs)

@@ -31,8 +31,8 @@ from dcprox.logreg import (build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave,
                            logistic_lipschitz_bound)
 from dcprox.metric import DiagonalMetric
-from dcprox.poisson import (build_poisson_problem, l1_nonneg_proximable,
-                            l1_nonneg_scaled_prox)
+from dcprox.poisson import (build_poisson_problem, kl_split,
+                            l1_nonneg_proximable, l1_nonneg_scaled_prox)
 from dcprox.problem import (DcProblem, criticality_residual,
                             least_squares_smooth, nonnegative_orthant,
                             objective, quadratic_smooth, whole_space,
@@ -381,11 +381,12 @@ def test_oracle_and_data_pipeline_audits(report, tmp_path):
     worst_split = 0.0
     for _ in range(20):
         x = rng.uniform(0.1, 5.0, 20)
-        U, V = pprob.grad_split(x)
+        U, V = kl_split(pdata, x)
         g = pprob.f.grad(x)
         worst_split = max(worst_split, float(
             np.max(np.abs(U - V + g)) / max(1.0, np.max(np.abs(g)))))
         ok = ok and np.all(U >= 0.0) and np.all(V > 0.0)
+        ok = ok and np.array_equal(V, pprob.split_denominator)
     ok = ok and worst_split <= 1e-12
     notes.append(f"split {worst_split:.1e}")
 

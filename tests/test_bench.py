@@ -56,6 +56,46 @@ def test_config_rejects_unknown_solver():
         RunConfig.from_dict(_logreg_cfg(solvers=[{"name": "gradient"}]))
 
 
+@pytest.mark.parametrize("over, key", [
+    (dict(problem={"kind": "logreg-synthetic", "m": 40, "n": 8, "lamda": 5.0}),
+     "lamda"),
+    (dict(problem={"kind": "poisson-synthetic", "n": 25, "m": 10, "k": 3}), "k"),
+    (dict(problem={"kind": "dataset-json", "path": "d.json", "lambda": 1.0}),
+     "lambda"),
+    (dict(solvers=[{"name": "spdcae1", "etaa": 3.0, "q": 7}]), "etaa"),
+    (dict(solvers=[{"name": "adca", "T1": 2}]), "T1"),
+    (dict(solvers=[{"name": "pdcae", "q": 3}]), "q"),
+])
+def test_config_rejects_unknown_problem_and_solver_keys(over, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        RunConfig.from_dict(_logreg_cfg(**over))
+
+
+def test_config_accepts_every_documented_key():
+    problem = {"kind": "poisson-synthetic", "n": 25, "m": 10, "k_nonzeros": 3,
+               "amp_max": 100.0, "p": 0.9, "bg": 1e-10, "data_seed": 1,
+               "lambda": 1e-3}
+    solvers = [{"name": "spdcae0", "eta": 1.2, "T1": 5, "rho": 0.5,
+                "L_floor": 1e-10, "L_init": 0.1, "max_inner": 200,
+                "deflate_when_divisible": False, "beta_family": "plain",
+                "delta": 0.99, "T2": 200, "legacy_restart_divisibility": False,
+                "metric": "identity", "epsilon": 1e-6, "clamp_numerator": 1e13},
+               {"name": "pdcae", "L": 50.0, "beta_family": "plain", "T2": 10},
+               {"name": "adca", "L": 50.0, "q": 2}]
+    RunConfig.from_dict(_poisson_cfg(problem=problem, solvers=solvers))
+
+
+def test_config_rejects_unparsable_and_missing_problem_values():
+    with pytest.raises(ConfigError, match="invalid value 'forty' of 'm'"):
+        RunConfig.from_dict(_logreg_cfg(problem={"kind": "logreg-synthetic",
+                                                 "m": "forty", "n": 8}))
+    with pytest.raises(ConfigError, match="missing 'n'"):
+        RunConfig.from_dict(_logreg_cfg(problem={"kind": "logreg-synthetic",
+                                                 "m": 40}))
+    with pytest.raises(ConfigError, match="unknown problem kind"):
+        RunConfig.from_dict(_logreg_cfg(problem={"kind": "svm"}))
+
+
 def test_config_rejects_unsorted_tolerances():
     with pytest.raises(ConfigError, match="strictly decreasing"):
         RunConfig.from_dict(_logreg_cfg(tolerances=[1e-2, 1e-1]))

@@ -207,5 +207,13 @@ def test_config_missing_keys_is_config_error(tmp_path, capsys):
     assert "missing configuration keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ref", "bench"])
+def test_unknown_solver_key_is_config_error(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path / "cfg.json",
+                        solvers=[{"name": "spdcae1", "etaa": 3.0}])
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "'etaa'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["tune"]) == 2

@@ -88,7 +88,7 @@ def test_backtrack_doubles_until_curvature():
     assert out.n_backtracks == 2
     assert out.L == 4.0
     assert out.t == 0.25
-    assert np.allclose(out.x_new, [0.0])
+    assert np.allclose(out.x, [0.0])
     assert np.allclose(out.y, [1.0])
     assert out.beta == 0.0
 
@@ -154,5 +154,5 @@ def test_concave_shift_enters_step():
     out = backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0),
                          state, BetaSchedule(family="none"),
                          IdentityMetricProvider())
-    assert np.allclose(out.x_new, [1.0])
+    assert np.allclose(out.x, [1.0])
     assert out.n_backtracks == 0

@@ -95,6 +95,12 @@ def test_identity_provider():
     prov.accept(1, np.zeros(3))  # no state to corrupt
 
 
+def test_identity_provider_builds_metric_once():
+    prov = IdentityMetricProvider()
+    D = prov.trial(1, np.zeros(3), np.zeros(3))
+    assert prov.trial(2, np.ones(3), np.ones(3)) is D
+
+
 def test_adagrad_provider_trial_is_pure():
     prov = AdaGradMetricProvider()
     g = np.array([3.0, 4.0])
@@ -109,7 +115,7 @@ def test_adagrad_provider_trial_is_pure():
 
 def test_split_provider_uses_column_sums():
     V = np.array([1.0, 2.0])
-    prov = SplitGradientMetricProvider(lambda y: V, clamp_numerator=32.0)
+    prov = SplitGradientMetricProvider(V, clamp_numerator=32.0)
     D = prov.trial(1, np.array([2.0, 8.0]), np.zeros(2))
     assert np.allclose(D.diag, [0.5, 1.0 / 3.0])
 

@@ -87,7 +87,8 @@ def test_problem_assembly_and_domain_guard():
     data, _ = gen_poisson_cs(n=15, m=6, k_nonzeros=2, amp_max=20.0, rng=0)
     prob = build_poisson_problem(data)
     assert prob.feasible_set.kind == "nonnegative-orthant"
-    assert prob.grad_split is not None
+    col_sums = np.asarray(data.A.sum(axis=0)).ravel()
+    assert np.allclose(prob.split_denominator, col_sums, rtol=1e-12)
     x = np.random.default_rng(5).uniform(0.0, 1.0, 15)
     v, _ = kl_value_grad(data, x)
     want = v + data.lam * x.sum() - data.lam * np.linalg.norm(x)

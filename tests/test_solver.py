@@ -362,6 +362,12 @@ def test_trace_bookkeeping(runner):
     secs = [r.wall_clock_seconds for r in res.trace]
     assert all(b >= a for a, b in zip(secs, secs[1:]))
     assert all(r.t * r.L_accepted == pytest.approx(1.0, rel=1e-12) for r in res.trace)
+    # each snapshot is the record of the same iteration
+    for s, r in zip(res.states, res.trace):
+        assert (s.k, s.L, s.t, s.n_backtracks, s.beta, s.restarted, s.gate_passed) \
+            == (r.k, r.L_accepted, r.t, r.n_backtracks, r.beta_used, r.restarted,
+                r.gate_passed)
+        assert objective(prob, s.x, s.f) == r.F_value
 
 
 def test_diagnostics_fill_descent_slack():
@@ -393,7 +399,7 @@ def test_custom_restart_schedule_for_fixed_step():
 
 
 @pytest.mark.parametrize("runner", ["spdcae-nonmonotone", "spdcae-monotone",
-                                    "pdcae", "adca"])
+                                    "spdcae-diagnostics", "pdcae", "adca"])
 def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
     # curvature 4 under a step of 1/8: no trial ever backtracks
     def run(n_iter):
@@ -413,8 +419,10 @@ def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
         stop = StoppingRule(max_iter=n_iter)
         x0 = np.zeros(2)
         if runner.startswith("spdcae"):
-            bt = BacktrackConfig(mode=runner.split("-")[1], L_init=8.0, L_floor=8.0)
-            res = spdcae_run(prob, SolverConfig(backtrack=bt), stop, x0=x0)
+            mode = "monotone" if runner == "spdcae-monotone" else "nonmonotone"
+            bt = BacktrackConfig(mode=mode, L_init=8.0, L_floor=8.0)
+            res = spdcae_run(prob, SolverConfig(backtrack=bt), stop, x0=x0,
+                             diagnostics=runner == "spdcae-diagnostics")
         elif runner == "pdcae":
             res = pdcae_run(prob, 8.0, stop=stop, x0=x0)
         else:
