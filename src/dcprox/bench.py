@@ -5,7 +5,8 @@ decreasing tolerance grid, and a list of seeds.  Each (solver, seed) cell is
 one solver run; first-hit iteration counts and times for every tolerance are
 read off the run's trace in a single pass, and rows are aggregated over the
 seeds that reached each tolerance.  Reference objective values come from a
-long run of a designated reference solver.  Runs are sequential and
+run of a designated reference solver that stops once its objective has
+stalled, capped at ``reference_iterations``.  Runs are sequential and
 deterministic for a fixed configuration.
 """
 
@@ -52,15 +53,24 @@ _PROBLEM_KEYS = {
     "dataset-json": {"path": (str, ...)},
 }
 
+
+def _json_bool(value) -> bool:
+    """A JSON ``true``/``false``; strings and numbers are not flags."""
+    if not isinstance(value, bool):
+        raise ValueError(f"not a boolean: {value!r}")
+    return value
+
+
 # Solver name -> {key: parser}; a line-search profile takes the
 # BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
 _BACKTRACK_KEYS = {"eta": float, "T1": int, "rho": float, "L_floor": float,
-                   "L_init": float, "max_inner": int, "deflate_when_divisible": bool}
+                   "L_init": float, "max_inner": int,
+                   "deflate_when_divisible": _json_bool}
 _SOLVER_KEYS = {
     **dict.fromkeys(("spdcae1", "spdcae0", "pdcae1", "pdcae0"), {
         **_BACKTRACK_KEYS, "beta_family": str, "delta": float, "T2": int,
-        "legacy_restart_divisibility": bool, "metric": str, "epsilon": float,
-        "clamp_numerator": float}),
+        "legacy_restart_divisibility": _json_bool, "metric": str,
+        "epsilon": float, "clamp_numerator": float}),
     "pdcae": {"L": float, "beta_family": str, "T2": int},
     "adca": {"L": float, "q": int},
 }
@@ -269,17 +279,25 @@ def _run_cell(name: str, overrides: dict, base: _Base, problem: DcProblem,
 
 # --- reference values and the matrix -----------------------------------------
 
+# The reference stops after this many accepted iterations without a new
+# lowest objective: one restart period (T2) of the reference profiles.
+_REFERENCE_STALL_ITERS = 200
+
+
 def _reference_value(config: RunConfig, base: _Base, problem: DcProblem,
-                     x0: Array) -> float:
-    stop = StoppingRule(max_iter=config.reference_iterations)
+                     x0: Array) -> Tuple[float, int, str]:
+    """(value, iterations, stop reason) of the reference run from ``x0``;
+    the value is the objective of its last accepted iterate."""
+    stop = StoppingRule(max_iter=config.reference_iterations,
+                        stall_iters=_REFERENCE_STALL_ITERS)
     result = _run_cell(config.reference_solver, {}, base, problem, x0, stop)
-    if result.trace:
-        return result.trace[-1].F_value
-    return objective(problem, x0)
+    value = result.F_final if result.trace else objective(problem, x0)
+    return value, result.n_iterations, result.stop_reason
 
 
-def run_reference(config: RunConfig) -> float:
-    """Final objective of the reference solver on the canonical instance.
+def solve_reference(config: RunConfig) -> Tuple[float, int, str]:
+    """Objective, iteration count and stop reason of the reference solver
+    on the canonical instance.
 
     Logistic references share the dataset and use the start drawn from the
     reference seed; Poisson references use the reference seed's count
@@ -287,6 +305,11 @@ def run_reference(config: RunConfig) -> float:
     """
     base = _build_base(config.problem)
     return _reference_value(config, base, *_instance(base, config.reference_seed))
+
+
+def run_reference(config: RunConfig) -> float:
+    """Final objective of the reference solver; see ``solve_reference``."""
+    return solve_reference(config)[0]
 
 
 def _first_hits(trace: List[TraceRecord], tolerances: List[float]):
@@ -313,6 +336,8 @@ class BenchResult:
     runs: Dict[Tuple[str, int], RunResult]
     references: Dict[int, float]
     hits: Dict[Tuple[str, int], dict] = field(default_factory=dict)
+    # seed -> (iterations, stop reason) of the run behind its reference
+    reference_stops: Dict[int, Tuple[int, str]] = field(default_factory=dict)
 
 
 def run_matrix(config: RunConfig) -> BenchResult:
@@ -322,23 +347,26 @@ def run_matrix(config: RunConfig) -> BenchResult:
     ``summary.csv`` and ``summary.json``.
     """
     base = _build_base(config.problem)
-    shared_ref: Optional[float] = None
+    shared_ref: Optional[Tuple[float, int, str]] = None
     if base.kind == "logreg":
         shared_ref = _reference_value(config, base, *_instance(base, config.reference_seed))
 
     runs: Dict[Tuple[str, int], RunResult] = {}
     references: Dict[int, float] = {}
+    reference_stops: Dict[int, Tuple[int, str]] = {}
     hits: Dict[Tuple[str, int], dict] = {}
     tightest = min(config.tolerances)
 
     for seed in config.seeds:
         problem, x0 = _instance(base, seed)
         if shared_ref is not None:
-            f_star = shared_ref
+            f_star, n_ref, ref_stop = shared_ref
         else:
             # each count realization is its own instance; reference per seed
-            f_star = _reference_value(config, base, problem, np.ones(base.data.n))
+            f_star, n_ref, ref_stop = _reference_value(config, base, problem,
+                                                       np.ones(base.data.n))
         references[seed] = f_star
+        reference_stops[seed] = (n_ref, ref_stop)
         stop = StoppingRule(max_iter=config.max_iter, ref_value=f_star,
                             rel_tol=tightest)
         for scfg in config.solvers:
@@ -364,7 +392,7 @@ def run_matrix(config: RunConfig) -> BenchResult:
                 max_flag=rate < 1.0))
 
     result = BenchResult(summary=summary, runs=runs, references=references,
-                         hits=hits)
+                         hits=hits, reference_stops=reference_stops)
     if config.out_dir:
         write_outputs(config, result)
     return result
@@ -443,6 +471,8 @@ def write_outputs(config: RunConfig, result: BenchResult) -> None:
                              _fmt(r.mean_seconds), _fmt(r.hit_rate),
                              _fmt(r.max_flag)])
     payload = {"reference_values": {str(k): v for k, v in result.references.items()},
+               "reference_stops": {str(k): {"iterations": n, "stop_reason": r}
+                                   for k, (n, r) in result.reference_stops.items()},
                "summary": [asdict(r) for r in rows]}
     with open(os.path.join(config.out_dir, "summary.json"), "w",
               encoding="ascii") as fh:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: ``gen`` writes a synthetic dataset to JSON, ``ref`` computes a
-reference objective value for a run configuration, ``bench`` runs the full
+reference objective value for a run configuration (with the iteration
+count and stop reason of the run behind it), ``bench`` runs the full
 (solver, seed) matrix and writes trace/summary files, ``check`` audits trace
 and summary CSVs.  Exit codes: 0 success, 2 configuration error, 3 solver or
 audit failure.
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from .bench import (ConfigError, RunConfig, read_summary_csv, read_trace_csv,
-                    run_matrix, run_reference)
+                    run_matrix, solve_reference)
 from .datasets import gen_logreg, gen_poisson_cs, save_dataset_json
 from .linesearch import LineSearchError
 
@@ -118,11 +119,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ref(args) -> int:
     config = _load_config(args.config)
-    value = run_reference(config)
+    value, iterations, stop_reason = solve_reference(config)
     print(repr(value))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            json.dump({"reference": value}, fh)
+            json.dump({"reference": value, "iterations": iterations,
+                       "stop_reason": stop_reason}, fh)
     return 0
 
 

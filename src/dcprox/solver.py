@@ -8,7 +8,8 @@ theta schedule.  ``pdcae_run`` takes a fixed step with the identity metric
 and restarted weights, and ``adca_run`` a fixed step that gates
 extrapolation on recent objective values.  The loop records the trace and
 snapshots and stops with reason "nonfinite" (the accepted objective is not
-finite), "f_target", "rel_tol" or "crit_tol", tested in that order, or
+finite), "f_target", "rel_tol", "crit_tol" or "stalled" (no new lowest
+objective for a set number of iterations), tested in that order, or
 "max_iter".  Audit helpers re-check the per-iteration inequalities the
 analysis relies on, from recorded iteration snapshots.
 """
@@ -41,8 +42,10 @@ class StoppingRule:
 
     Any satisfied clause stops the run: the iteration cap, an absolute
     objective target, a relative error against a supplied reference value
-    (absolute difference when the reference is nonpositive), or a threshold
-    on the fixed-point criticality residual.
+    (absolute difference when the reference is nonpositive), a threshold
+    on the fixed-point criticality residual, or ``stall_iters`` accepted
+    iterations in a row without an objective strictly below the lowest
+    seen so far.
     """
 
     max_iter: int = 10000
@@ -50,10 +53,13 @@ class StoppingRule:
     ref_value: float | None = None
     rel_tol: float | None = None
     crit_tol: float | None = None
+    stall_iters: int | None = None
 
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError("iteration cap must be nonnegative")
+        if self.stall_iters is not None and self.stall_iters < 1:
+            raise ValueError("stall window must be at least one iteration")
         for name in ("f_target", "ref_value", "rel_tol", "crit_tol"):
             value = getattr(self, name)
             if value is None:
@@ -155,7 +161,8 @@ def _check_start(problem: DcProblem, x0) -> Array:
 
 
 def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
-                 rel: float | None, x: Array, t: float) -> str | None:
+                 rel: float | None, x: Array, t: float,
+                 since_low: int) -> str | None:
     if not math.isfinite(F):
         return "nonfinite"
     if stop.f_target is not None and F <= stop.f_target:
@@ -165,6 +172,8 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
     if stop.crit_tol is not None:
         if criticality_residual(problem, x, t) <= stop.crit_tol:
             return "crit_tol"
+    if stop.stall_iters is not None and since_low >= stop.stall_iters:
+        return "stalled"
     return None
 
 
@@ -176,7 +185,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     ``step(state)`` returns the ``IterationSnapshot`` taken from
     ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
     kept as is under ``keep_states``.  ``on_value`` receives each accepted
-    objective value.
+    objective value.  The lowest objective and its iteration are tracked
+    only for a stall clause.
     """
     stop = stop or StoppingRule()
     state = IterateState(x_prev=x0, x_prev2=x0)
@@ -185,6 +195,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     t_start = time.perf_counter()
     stop_reason = "max_iter"
     F_prev = objective(problem, x0) if diagnostics else None
+    F_low, k_low = math.inf, 0
 
     for k in range(1, stop.max_iter + 1):
         state.k = k
@@ -192,6 +203,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         F = objective(problem, s.x, s.f)
         if on_value is not None:
             on_value(F)
+        if stop.stall_iters is not None and F < F_low:
+            F_low, k_low = F, k
         rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
         record = TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=s.L, t=s.t,
                              n_backtracks=s.n_backtracks, beta_used=s.beta,
@@ -210,7 +223,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         state.x_prev = s.x
         state.L_prev = s.L
 
-        reason = _stop_reason(problem, stop, F, rel, s.x, s.t)
+        reason = _stop_reason(problem, stop, F, rel, s.x, s.t, k - k_low)
         if reason is not None:
             stop_reason = reason
             break
@@ -419,12 +432,16 @@ def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarr
 
     F(x_k) <= F(x_{k-1}) + ||x_{k-1} - y_k||_D^2/(2 t_k)
                         - ||x_k - x_{k-1}||_D^2/(2 t_k).
+
+    F(x_k) comes from the snapshot's f(x_k); only F(x_0) is evaluated.
     """
     slacks = []
+    F_prev = objective(problem, result.x0)
     for _, x_prev, snap in _iterates(result):
         D = DiagonalMetric(snap.metric_diag)
-        slacks.append(descent_slack(problem, x_prev, snap.h_prev, snap.y,
-                                    snap.x, snap.t, D))
+        F_k = objective(problem, snap.x, snap.f)
+        slacks.append(_slack(F_prev, F_k, x_prev, snap.y, snap.x, snap.t, D))
+        F_prev = F_k
     return np.asarray(slacks)
 
 

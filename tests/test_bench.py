@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import tempfile
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcprox.bench import (BenchResult, ConfigError, RunConfig, _first_hits,
-                          read_summary_csv, read_trace_csv, run_matrix,
-                          run_reference, write_trace_csv)
-from dcprox.solver import TraceRecord
+from dcprox.bench import (_REFERENCE_STALL_ITERS, BenchResult, ConfigError,
+                          RunConfig, _build_base, _first_hits, _instance,
+                          _profile, read_summary_csv, read_trace_csv,
+                          run_matrix, run_reference, solve_reference,
+                          write_trace_csv)
+from dcprox.solver import StoppingRule, TraceRecord, spdcae_run
 
 
 def _logreg_cfg(**over):
@@ -94,6 +97,12 @@ def test_config_rejects_unparsable_and_missing_problem_values():
                                                  "m": 40}))
     with pytest.raises(ConfigError, match="unknown problem kind"):
         RunConfig.from_dict(_logreg_cfg(problem={"kind": "svm"}))
+    # flags take JSON true/false only: "false" or "no" must not switch them on
+    for key in ("deflate_when_divisible", "legacy_restart_divisibility"):
+        for value in ("false", "no", "true", 0, 1, None):
+            with pytest.raises(ConfigError, match=f"invalid value .* of '{key}'"):
+                RunConfig.from_dict(_logreg_cfg(solvers=[{"name": "spdcae1",
+                                                          key: value}]))
 
 
 def test_config_rejects_unsorted_tolerances():
@@ -179,6 +188,11 @@ def test_matrix_outputs_round_trip(tmp_path):
         assert a.max_flag == b.max_flag
     trace = read_trace_csv(tmp_path / "trace_spdcae1_0.csv")
     assert [r.k for r in trace] == [r.k for r in result.runs[("spdcae1", 0)].trace]
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["reference_stops"] == {
+        str(seed): {"iterations": n, "stop_reason": reason}
+        for seed, (n, reason) in result.reference_stops.items()}
+    assert set(result.reference_stops) == set(cfg.seeds)
 
 
 def test_matrix_is_deterministic_modulo_timing():
@@ -207,6 +221,27 @@ def test_poisson_seeds_get_their_own_references():
     cfg = RunConfig.from_dict(_poisson_cfg())
     result = run_matrix(cfg)
     assert result.references[0] != result.references[1]
+
+
+@pytest.mark.parametrize("make_cfg", [_logreg_cfg, _poisson_cfg],
+                         ids=["logreg", "poisson"])
+def test_reference_stops_on_stall_near_capped_value(make_cfg):
+    cfg = RunConfig.from_dict(make_cfg())
+    value, n_iter, reason = solve_reference(cfg)
+    assert reason == "stalled"
+    assert _REFERENCE_STALL_ITERS < n_iter < cfg.reference_iterations
+    assert run_reference(cfg) == value
+    # the same profile run to the cap, without the stall clause
+    base = _build_base(cfg.problem)
+    problem, x0 = _instance(base, cfg.reference_seed)
+    capped = spdcae_run(problem, _profile(cfg.reference_solver, base.kind, {}),
+                        StoppingRule(max_iter=cfg.reference_iterations), x0=x0)
+    assert capped.n_iterations == cfg.reference_iterations
+    assert abs(value - capped.F_final) <= 1e-12 * abs(capped.F_final)
+    # the matrix records the stop of every seed's reference
+    stops = run_matrix(cfg).reference_stops
+    assert all(reason == "stalled" and n < cfg.reference_iterations
+               for n, reason in stops.values())
 
 
 def test_zero_iteration_reference_is_start_value():

@@ -57,8 +57,10 @@ def test_ref_prints_value_and_writes_json(tmp_path, capsys):
     rc = main(["ref", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     printed = float(capsys.readouterr().out.strip())
-    stored = json.loads(out.read_text())["reference"]
-    assert printed == stored
+    stored = json.loads(out.read_text())
+    assert printed == stored["reference"]
+    assert stored["stop_reason"] == "stalled"
+    assert 0 < stored["iterations"] < 1500  # below the configured cap
 
 
 def test_bench_writes_outputs_and_prints_rows(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -8,13 +10,13 @@ from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.linesearch import BacktrackConfig
 from dcprox.logreg import (build_logreg_problem, l1_proximable, l1_scaled_prox,
                            l2_concave, logistic_lipschitz_bound)
-from dcprox.metric import gamma
+from dcprox.metric import DiagonalMetric, gamma
 from dcprox.poisson import build_poisson_problem
 from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
                             least_squares_smooth, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
 from dcprox.solver import (AdcaHistory, RunResult, SolverConfig, StoppingRule,
-                           adca_run, descent_inequality_slacks,
+                           adca_run, descent_inequality_slacks, descent_slack,
                            extrapolation_slacks, pdcae_run, relative_error,
                            sfista_lyapunov, sfista_run, spdcae_run)
 
@@ -160,6 +162,29 @@ def test_descent_slacks_nonnegative_across_problem_types():
         assert np.all(slacks >= floors)
 
 
+def test_descent_audit_reuses_snapshot_objectives():
+    prob, A, yv, lam, L = _lasso_problem()
+    counts = {"eval": 0}
+
+    def counted_eval(x):
+        counts["eval"] += 1
+        return prob.f.eval(x)
+
+    counting = dataclasses.replace(
+        prob, f=SmoothOracle(eval=counted_eval, value_grad=prob.f.value_grad))
+    res = spdcae_run(counting, SolverConfig(), StoppingRule(max_iter=50), x0=np.zeros(10),
+                     keep_states=True)
+    counts["eval"] = 0
+    slacks = descent_inequality_slacks(counting, res)
+    assert counts["eval"] == 1  # F(x_0) alone
+    # the values of the per-snapshot formula, bit for bit
+    xs = [res.x0] + [snap.x for snap in res.states]
+    expected = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t,
+                              DiagonalMetric(snap.metric_diag))
+                for x_prev, snap in zip(xs, res.states)]
+    assert slacks.tolist() == expected
+
+
 def test_extrapolation_bound_holds_under_projection():
     pdata, _ = gen_poisson_cs(n=25, m=10, k_nonzeros=3, amp_max=50.0, rng=3)
     prob = build_poisson_problem(pdata)
@@ -277,10 +302,62 @@ def test_stopping_rule_validation():
     bad = [dict(rel_tol=1e-3), dict(max_iter=-1),
            dict(ref_value=1.0, rel_tol=float("nan")), dict(crit_tol=-1.0),
            dict(ref_value=1.0, rel_tol=-1e-3), dict(f_target=float("nan")),
-           dict(ref_value=float("inf")), dict(crit_tol=float("inf"))]
+           dict(ref_value=float("inf")), dict(crit_tol=float("inf")),
+           dict(stall_iters=0), dict(stall_iters=-1)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             StoppingRule(**kwargs)
+
+
+def _new_lows(trace):
+    """Iterations whose objective is strictly below every earlier one."""
+    low, ks = math.inf, []
+    for rec in trace:
+        if rec.F_value < low:
+            low = rec.F_value
+            ks.append(rec.k)
+    return ks
+
+
+def test_stall_stops_at_exact_fixed_point():
+    # started at the minimizer, every iterate is the minimizer itself
+    center = np.array([1.0, -2.0, 0.5])
+    prob = DcProblem(f=quadratic_smooth(center), g=zero_proximable(),
+                     h=zero_concave(), feasible_set=whole_space())
+    res = spdcae_run(prob, SolverConfig(), StoppingRule(max_iter=100, stall_iters=7),
+                     x0=center)
+    assert res.stop_reason == "stalled"
+    assert all(r.F_value == res.trace[0].F_value for r in res.trace)
+    assert _new_lows(res.trace) == [1]
+    assert res.n_iterations == 1 + 7
+
+
+def test_stall_window_counts_from_last_new_low():
+    prob, A, yv, lam, L = _lasso_problem(seed=4)
+    stall = 15
+    res = sfista_run(prob, SolverConfig(), StoppingRule(max_iter=5000, stall_iters=stall),
+                     x0=np.zeros(10))
+    assert res.stop_reason == "stalled"
+    lows = _new_lows(res.trace)
+    assert res.n_iterations == lows[-1] + stall
+    # no earlier stretch without a new low was long enough to stop the run
+    # (a new low at exactly `stall` iterations resets the window in time)
+    assert all(b - a <= stall for a, b in zip(lows, lows[1:]))
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_unset_or_unreached_stall_leaves_trace_unchanged(runner):
+    prob, A, yv, lam, L = _lasso_problem(seed=5)
+
+    def fields(res):
+        return [dataclasses.replace(r, wall_clock_seconds=0.0) for r in res.trace]
+
+    plain = RUNNERS[runner](prob, L, StoppingRule(max_iter=300), x0=np.zeros(10))
+    wide = RUNNERS[runner](prob, L, StoppingRule(max_iter=300, stall_iters=10**6),
+                           x0=np.zeros(10))
+    assert plain.stop_reason == wide.stop_reason == "max_iter"
+    assert fields(plain) == fields(wide)
+    assert np.array_equal(plain.x, wide.x)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
