@@ -10,39 +10,21 @@ fixed period or when the momentum turns against the last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Array = np.ndarray
 
 
-@dataclass
-class ThetaState:
-    """Most recent pair of the theta recursion plus the committed step size.
+def theta_next(theta: float, t_prev: float, t_cur: float,
+               classical: bool = False) -> float:
+    """Positive root of th^2 - th - (t_prev/t_cur) * theta^2 = 0.
 
-    ``theta_prev`` and ``theta`` hold theta_{k-1} and theta_k once iteration k
-    has been committed; a fresh state encodes theta_0 = 1 with t_0 = 0 so the
-    first proposed weight is exactly zero.
-    """
-
-    theta_prev: float = 1.0
-    theta: float = 1.0
-    t_prev: float = 0.0
-    mode: str = "coupled"  # coupled | classical
-
-    def __post_init__(self):
-        if self.mode not in ("coupled", "classical"):
-            raise ValueError(f"unknown theta mode: {self.mode!r}")
-
-
-def theta_next(state: ThetaState, t_prev: float, t_cur: float) -> float:
-    """Positive root of theta^2 - theta - (t_prev/t_cur) * theta_prev^2 = 0.
-
-    Advances from ``state.theta``; classical mode fixes the ratio at 1.
-    In both modes t_prev = 0 encodes the start convention and yields exactly
-    1, so the first two emitted weights are zero.  Pure: the state is not
-    modified.
+    Advances from ``theta``; ``classical`` fixes the ratio at 1.  Either way
+    t_prev = 0 encodes the start convention and yields exactly 1, so the
+    first two emitted weights are zero.  At a constant step the ratio is
+    exactly 1 after the first commit, so both recursions agree bit for bit.
     """
     if t_cur <= 0.0:
         raise ValueError("current step size must be positive")
@@ -50,11 +32,11 @@ def theta_next(state: ThetaState, t_prev: float, t_cur: float) -> float:
         raise ValueError("previous step size must be nonnegative")
     if t_prev == 0.0:
         ratio = 0.0
-    elif state.mode == "classical":
+    elif classical:
         ratio = 1.0
     else:
         ratio = t_prev / t_cur
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * state.theta * state.theta))
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * theta * theta))
 
 
 _FAMILIES = ("none", "plain", "contract", "fixed-restart", "fixed-adaptive-restart")
@@ -67,14 +49,19 @@ class BetaSchedule:
     ``propose`` evaluates the weight for a trial step size without touching
     state, so a backtracking line search may call it once per trial;
     ``commit`` records the accepted theta and step, and ``finish_iteration``
-    applies the restart rule using the accepted iterate.
+    applies the restart rule using the accepted iterate.  ``theta`` and
+    ``t_prev`` hold the last committed theta_k and t_k; the fresh values
+    encode theta_0 = 1 with t_0 = 0, so the first proposed weight is zero.
+    ``classical`` selects the classical theta recursion (see ``theta_next``).
     """
 
     family: str = "fixed-adaptive-restart"
     delta: float = 0.99
     T2: int = 200
     legacy_divisibility: bool = False
-    theta_state: ThetaState = field(default_factory=ThetaState)
+    theta: float = 1.0
+    t_prev: float = 0.0
+    classical: bool = False
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -88,19 +75,15 @@ class BetaSchedule:
         """Return (beta_k, theta_k) for a trial step size t_cur."""
         if self.family == "none":
             return 0.0, 1.0
-        th = theta_next(self.theta_state, self.theta_state.t_prev, t_cur)
-        beta = (self.theta_state.theta - 1.0) / th
+        th = theta_next(self.theta, self.t_prev, t_cur, self.classical)
+        beta = (self.theta - 1.0) / th
         if self.family == "contract":
             beta *= self.delta
         return beta, th
 
     def commit(self, theta_new: float, t_cur: float) -> None:
-        if self.family == "none":
-            return
-        state = self.theta_state
-        state.theta_prev = state.theta
-        state.theta = theta_new
-        state.t_prev = t_cur
+        self.theta = theta_new
+        self.t_prev = t_cur
 
     def finish_iteration(self, k: int, x_k: Array, x_prev: Array, y_k: Array) -> bool:
         """Apply the restart rule after iteration k; True when theta was reset."""
@@ -115,6 +98,5 @@ class BetaSchedule:
             # Momentum turned against the last step: plain inner product test.
             restarted = float(np.dot(x_k - x_prev, y_k - x_k)) > 0.0
         if restarted:
-            self.theta_state.theta_prev = 1.0
-            self.theta_state.theta = 1.0
+            self.theta = 1.0
         return restarted

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .accel import BetaSchedule, ThetaState
+from .accel import BetaSchedule
 from .datasets import (gen_logreg, gen_poisson_cs, load_dataset_json,
                        make_rng, read_libsvm, resample_counts)
 from .linesearch import BacktrackConfig
@@ -38,22 +38,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; the command line maps this to exit code 2."""
 
 
-# Problem kind -> {key: (parser, default)}; a default of ... marks a required key.
-_PROBLEM_KEYS = {
-    "logreg-synthetic": {"m": (int, ...), "n": (int, ...),
-                         "sparsity_of_truth": (float, 0.1), "noise_rate": (float, 0.05),
-                         "data_seed": (int, 0), "lambda": (float, 1e-3),
-                         "scale_decades": (float, 2.0)},
-    "poisson-synthetic": {"n": (int, ...), "m": (int, ...), "k_nonzeros": (int, 20),
-                          "amp_max": (float, 1e5), "p": (float, 0.9),
-                          "bg": (float, 1e-10), "data_seed": (int, 0),
-                          "lambda": (float, 1e-3)},
-    "logreg-file": {"path": (str, ...), "n_features": (int, None),
-                    "lambda": (float, 1e-3)},
-    "dataset-json": {"path": (str, ...)},
-}
-
-
 def _json_bool(value) -> bool:
     """A JSON ``true``/``false``; strings and numbers are not flags."""
     if not isinstance(value, bool):
@@ -61,18 +45,61 @@ def _json_bool(value) -> bool:
     return value
 
 
+def _json_int(value) -> int:
+    """A JSON integer; booleans and numbers with a fraction are not counts."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    """A finite JSON number; booleans, strings and NaN are not values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return float(value)
+
+
+def _parsed(value, parse, what: str):
+    """``parse(value)``; a value it rejects is a ConfigError naming ``what``."""
+    try:
+        return parse(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"invalid value {value!r} of {what}") from None
+
+
+# Problem kind -> {key: (parser, default)}; a default of ... marks a required key.
+_PROBLEM_KEYS = {
+    "logreg-synthetic": {"m": (_json_int, ...), "n": (_json_int, ...),
+                         "sparsity_of_truth": (_json_float, 0.1),
+                         "noise_rate": (_json_float, 0.05),
+                         "data_seed": (_json_int, 0), "lambda": (_json_float, 1e-3),
+                         "scale_decades": (_json_float, 2.0)},
+    "poisson-synthetic": {"n": (_json_int, ...), "m": (_json_int, ...),
+                          "k_nonzeros": (_json_int, 20),
+                          "amp_max": (_json_float, 1e5), "p": (_json_float, 0.9),
+                          "bg": (_json_float, 1e-10), "data_seed": (_json_int, 0),
+                          "lambda": (_json_float, 1e-3)},
+    "logreg-file": {"path": (str, ...), "n_features": (_json_int, None),
+                    "lambda": (_json_float, 1e-3)},
+    "dataset-json": {"path": (str, ...)},
+}
+
+
 # Solver name -> {key: parser}; a line-search profile takes the
 # BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
-_BACKTRACK_KEYS = {"eta": float, "T1": int, "rho": float, "L_floor": float,
-                   "L_init": float, "max_inner": int,
-                   "deflate_when_divisible": _json_bool}
+_BACKTRACK_KEYS = {"eta": _json_float, "T1": _json_int, "rho": _json_float,
+                   "L_floor": _json_float, "L_init": _json_float,
+                   "max_inner": _json_int, "deflate_when_divisible": _json_bool}
+_LINE_SEARCH_SOLVERS = ("spdcae1", "spdcae0", "pdcae1", "pdcae0")
 _SOLVER_KEYS = {
-    **dict.fromkeys(("spdcae1", "spdcae0", "pdcae1", "pdcae0"), {
-        **_BACKTRACK_KEYS, "beta_family": str, "delta": float, "T2": int,
-        "legacy_restart_divisibility": _json_bool, "metric": str,
-        "epsilon": float, "clamp_numerator": float}),
-    "pdcae": {"L": float, "beta_family": str, "T2": int},
-    "adca": {"L": float, "q": int},
+    **dict.fromkeys(_LINE_SEARCH_SOLVERS, {
+        **_BACKTRACK_KEYS, "beta_family": str, "delta": _json_float,
+        "T2": _json_int, "legacy_restart_divisibility": _json_bool,
+        "metric": str, "epsilon": _json_float,
+        "clamp_numerator": _json_float}),
+    "pdcae": {"L": _json_float, "beta_family": str, "T2": _json_int},
+    "adca": {"L": _json_float, "q": _json_int},
 }
 
 
@@ -86,10 +113,7 @@ def _parse_keys(entry: dict, label: str, parsers: dict) -> dict:
             continue
         if key not in parsers:
             raise ConfigError(f"unknown key {key!r} for {where}")
-        try:
-            out[key] = parsers[key](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"invalid value {value!r} of {key!r} for {where}") from None
+        out[key] = _parsed(value, parsers[key], f"{key!r} for {where}")
     return out
 
 
@@ -110,6 +134,23 @@ def _solver_options(scfg: dict) -> dict:
     if scfg["name"] not in _SOLVER_KEYS:
         raise ConfigError(f"unknown solver: {scfg['name']!r}")
     return _parse_keys(scfg, "name", _SOLVER_KEYS[scfg["name"]])
+
+
+def _check_solver(name: str, overrides: dict) -> None:
+    """Build the settings a run of ``name`` builds, so that an out-of-range
+    value is a ConfigError naming the solver before any run starts."""
+    try:
+        if name in _LINE_SEARCH_SOLVERS:
+            # the defaults of either problem family are in range
+            _profile(name, "logreg", overrides)
+        elif name == "pdcae":
+            _fixed_schedule(overrides)
+        if overrides.get("L", 1.0) <= 0.0:
+            raise ValueError("fixed curvature constant L must be positive")
+        if overrides.get("q", 0) < 0:
+            raise ValueError("history depth q must be nonnegative")
+    except ValueError as exc:
+        raise ConfigError(f"solver {name!r}: {exc}") from None
 
 
 @dataclass
@@ -135,7 +176,13 @@ class RunConfig:
         for s in self.solvers:
             if not isinstance(s, dict) or "name" not in s:
                 raise ConfigError("each solver entry needs a 'name'")
-            _solver_options(s)
+            _check_solver(s["name"], _solver_options(s))
+        for name in ("max_iter", "reference_iterations", "reference_seed"):
+            _parsed(getattr(self, name), _json_int, repr(name))
+        for seed in self.seeds:
+            _parsed(seed, _json_int, "'seeds'")
+        for tol in self.tolerances:
+            _parsed(tol, _json_float, "'tolerances'")
         if not self.tolerances or any(t <= 0.0 for t in self.tolerances):
             raise ConfigError("tolerances must be positive")
         if any(a <= b for a, b in zip(self.tolerances, self.tolerances[1:])):
@@ -259,18 +306,20 @@ def _profile(name: str, base_kind: str, overrides: dict) -> SolverConfig:
     return SolverConfig(backtrack=BacktrackConfig(**bt), **cfg)
 
 
+def _fixed_schedule(overrides: dict) -> BetaSchedule:
+    return BetaSchedule(family=overrides.get("beta_family", "fixed-adaptive-restart"),
+                        T2=overrides.get("T2", 200))
+
+
 def _run_cell(name: str, overrides: dict, base: _Base, problem: DcProblem,
               x0: Array, stop: StoppingRule) -> RunResult:
     """One run of solver ``name`` with its parsed ``overrides``."""
-    if name in ("spdcae1", "spdcae0", "pdcae1", "pdcae0"):
+    if name in _LINE_SEARCH_SOLVERS:
         return spdcae_run(problem, _profile(name, base.kind, overrides),
                           stop, x0=x0)
     if name == "pdcae":
-        schedule = BetaSchedule(
-            family=overrides.get("beta_family", "fixed-adaptive-restart"),
-            T2=overrides.get("T2", 200), theta_state=ThetaState(mode="classical"))
-        return pdcae_run(problem, _fixed_L(base, overrides), schedule,
-                         stop, x0=x0)
+        return pdcae_run(problem, _fixed_L(base, overrides),
+                         _fixed_schedule(overrides), stop, x0=x0)
     if name == "adca":
         return adca_run(problem, _fixed_L(base, overrides),
                         overrides.get("q", 3), stop, x0=x0)

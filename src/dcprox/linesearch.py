@@ -10,11 +10,10 @@ is periodically deflated so step sizes can grow again).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .metric import DiagonalMetric, weighted_norm_sq
+from .metric import DiagonalMetric
 from .problem import DcProblem
 
 Array = np.ndarray
@@ -91,8 +90,8 @@ class IterateState:
 @dataclass
 class IterationSnapshot:
     """Accepted iteration k, as every step policy returns it and the loop
-    keeps it: x with f = f(x), from the prox step of size t = 1/L at y with
-    the h-subgradient h_prev; beta and theta gave y; metric None is identity.
+    keeps it: x with f = f(x), from the prox step of size t = 1/L in the
+    metric at y with the h-subgradient h_prev; beta and theta gave y.
     """
 
     k: int
@@ -104,14 +103,10 @@ class IterationSnapshot:
     L: float
     beta: float
     theta: float
+    metric: DiagonalMetric
     n_backtracks: int = 0
     restarted: bool = False
     gate_passed: bool | None = None
-    metric: DiagonalMetric | None = None
-
-    @property
-    def metric_diag(self) -> Array:
-        return np.ones_like(self.x) if self.metric is None else self.metric.diag
 
 
 def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
@@ -137,7 +132,7 @@ def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
 
 
 def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
-                        t: float, D: Optional[DiagonalMetric]) -> bool:
+                        t: float, D: DiagonalMetric) -> bool:
     """Quadratic upper bound test in the metric D, for d = x - y.
 
     f(x) <= f(y) + <grad_y, d> + ||d||_D^2 / (2 t), with a relative slack of
@@ -145,8 +140,17 @@ def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
-    bound = fy + float(np.dot(grad_y, d)) + weighted_norm_sq(d, D) / (2.0 * t)
+    bound = fy + float(np.dot(grad_y, d)) + D.norm_sq(d) / (2.0 * t)
     return fx <= bound + _DECREASE_SLACK * max(1.0, abs(fy))
+
+
+def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
+               h: Array, t: float, D: DiagonalMetric) -> tuple[Array, float, bool]:
+    """x_new = prox of g of size t in the metric D at y - t D^{-1} (grad_y - h),
+    f(x_new), and whether the decrease test from (f_y, grad_y) at y holds."""
+    x_new = problem.g.scaled_prox(y - t * (grad_y - h) / D.diag, t, D)
+    f_new = problem.f.eval(x_new)
+    return x_new, f_new, sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D)
 
 
 def backtrack_step(problem: DcProblem, config: BacktrackConfig,
@@ -178,15 +182,13 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
             y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - x_prev2))
             f_y, grad_y = problem.f.value_grad(y)
             D = metric_provider.trial(k, y, grad_y)
-        step = y - t * (grad_y - h_prev) / D.diag
-        x_new = problem.g.scaled_prox(step, t, D)
-        f_new = problem.f.eval(x_new)
-        if sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D):
+        x_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h_prev, t, D)
+        if ok:
             beta_provider.commit(theta, t)
             metric_provider.accept(k, grad_y)
             return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, h_prev=h_prev,
                                      t=t, L=L, beta=beta, theta=theta,
-                                     n_backtracks=i, metric=D)
+                                     metric=D, n_backtracks=i)
         L = config.eta * L
 
     raise LineSearchError(

@@ -148,5 +148,4 @@ def build_logreg_problem(data: LogRegData) -> DcProblem:
                                     value_grad=lambda x: logistic_value_grad(data, x)),
                      g=l1_proximable(data.lam),
                      h=l2_concave(data.lam),
-                     feasible_set=whole_space(),
-                     lower_bound_hint=0.0)
+                     feasible_set=whole_space())

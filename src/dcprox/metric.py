@@ -42,13 +42,6 @@ class DiagonalMetric:
         return float(np.dot(self.diag, v * v))
 
 
-def weighted_norm_sq(v: Array, metric: DiagonalMetric | None) -> float:
-    """``metric.norm_sq(v)``, with ``None`` meaning the identity metric."""
-    if metric is None:
-        return float(np.dot(v, v))
-    return metric.norm_sq(v)
-
-
 def identity_metric(n: int) -> DiagonalMetric:
     return DiagonalMetric(np.ones(n))
 

@@ -137,5 +137,4 @@ def build_poisson_problem(data: PoissonCsData) -> DcProblem:
                      g=l1_nonneg_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=nonnegative_orthant(),
-                     lower_bound_hint=0.0,
                      split_denominator=col_sums)

@@ -120,15 +120,13 @@ class DcProblem:
 
     ``split_denominator``, when present, is the strictly positive constant V
     of a gradient split -grad f(x) = U(x) - V with U(x) >= 0; it is the
-    denominator of the split-gradient metric.  ``lower_bound_hint`` is
-    metadata only.
+    denominator of the split-gradient metric.
     """
 
     f: SmoothOracle
     g: ProximableOracle
     h: ConcavePartOracle
     feasible_set: FeasibleSet
-    lower_bound_hint: float | None = None
     split_denominator: Array | None = None
 
 

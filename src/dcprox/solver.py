@@ -16,6 +16,7 @@ analysis relies on, from recorded iteration snapshots.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
@@ -25,12 +26,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .accel import BetaSchedule, ThetaState
+from .accel import BetaSchedule
 from .linesearch import (BacktrackConfig, IterateState, IterationSnapshot,
-                         backtrack_step, sufficient_decrease)
+                         backtrack_step, prox_trial)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
-                     weighted_norm_sq)
+                     identity_metric)
 from .problem import DcProblem, criticality_residual, objective
 
 Array = np.ndarray
@@ -128,13 +129,17 @@ class SolverConfig:
     epsilon: float = 1e-6
     clamp_numerator: float = 1e13
 
+    def __post_init__(self):
+        if self.metric not in ("identity", "adagrad", "split-gradient"):
+            raise ValueError(f"unknown metric strategy: {self.metric!r}")
+        _make_beta_schedule(self)  # rejects a bad beta_family, delta or T2
+
 
 def _make_beta_schedule(config: SolverConfig) -> BetaSchedule:
-    mode = "classical" if config.backtrack.mode == "monotone" else "coupled"
     return BetaSchedule(family=config.beta_family, delta=config.delta,
                         T2=config.T2,
                         legacy_divisibility=config.legacy_restart_divisibility,
-                        theta_state=ThetaState(mode=mode))
+                        classical=config.backtrack.mode == "monotone")
 
 
 def _make_metric_provider(config: SolverConfig, problem: DcProblem):
@@ -272,88 +277,64 @@ def sfista_run(problem: DcProblem, config: SolverConfig,
     """
     if not problem.h.is_zero:
         raise ValueError("the convex loop requires h = 0; use spdcae_run instead")
-    cfg = SolverConfig(backtrack=config.backtrack, beta_family="plain",
-                       metric=config.metric, epsilon=config.epsilon,
-                       clamp_numerator=config.clamp_numerator)
+    cfg = dataclasses.replace(config, beta_family="plain")
     return spdcae_run(problem, cfg, stop, x0=x0,
                       keep_states=keep_states, diagnostics=diagnostics)
 
 
-def _fixed_step(problem: DcProblem, L_fixed: float, where: str):
-    """Step size t = 1/L_fixed and ``prox_step(base, h, f_base, grad_base)``,
-    the identity-metric proximal step of size t from ``base``, returning x_new
-    and f(x_new); it warns once per run when the descent bound fails.
-    """
+def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
+    """The checked start, t = 1/L_fixed and ``prox_step``: the snapshot of
+    ``prox_trial`` at ``base`` in the identity metric, warning once per run
+    when the descent bound fails."""
     if L_fixed <= 0.0:
         raise ValueError("fixed curvature constant must be positive")
+    x0 = _check_start(problem, x0)
     t = 1.0 / L_fixed
+    D = identity_metric(x0.shape[0])
     warned = False
 
-    def prox_step(base: Array, h: Array, f_base: float,
-                  grad_base: Array) -> tuple[Array, float]:
+    def prox_step(k: int, base: Array, h: Array, f_base: float,
+                  grad_base: Array, beta: float, theta: float) -> IterationSnapshot:
         nonlocal warned
-        x_new = problem.g.scaled_prox(base - t * (grad_base - h), t, None)
-        f_new = problem.f.eval(x_new)
-        if not warned and not sufficient_decrease(f_new, f_base, grad_base,
-                                                  x_new - base, t, None):
+        x_new, f_new, ok = prox_trial(problem, base, f_base, grad_base, h, t, D)
+        if not ok and not warned:
             warned = True
             # stack: prox_step < policy step < _drive < public runner < caller
             warnings.warn(f"{where}: fixed step violates the descent bound; "
                           "the supplied curvature constant is likely too small",
                           RuntimeWarning, stacklevel=5)
-        return x_new, f_new
+        return IterationSnapshot(k=k, x=x_new, f=f_new, y=base, h_prev=h, t=t,
+                                 L=L_fixed, beta=beta, theta=theta, metric=D)
 
-    return t, prox_step
+    return x0, t, prox_step
 
 
 def pdcae_run(problem: DcProblem, L_fixed: float,
               restart_config: BetaSchedule | None = None,
               stop: StoppingRule | None = None, *, x0,
               keep_states: bool = False) -> RunResult:
-    """Fixed-step identity-metric baseline with classical restarted weights.
+    """Fixed-step identity-metric baseline with restarted weights.
 
     Equivalent to the general loop with a constant step 1/L_fixed and no line
-    search.  Violations of the descent bound at the fixed step are reported
-    once as a RuntimeWarning (the constant was under-estimated), not errors.
+    search, where the theta recursion is the classical one.  Violations of
+    the descent bound at the fixed step are reported once as a
+    RuntimeWarning (the constant was under-estimated), not errors.
     """
-    t, prox_step = _fixed_step(problem, L_fixed, "pdcae_run")
-    x0 = _check_start(problem, x0)
+    x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "pdcae_run")
     if restart_config is None:
-        restart_config = BetaSchedule(family="fixed-adaptive-restart", T2=200,
-                                      theta_state=ThetaState(mode="classical"))
+        restart_config = BetaSchedule()
 
     def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
         h = problem.h.subgrad(x_prev)
         beta, theta = restart_config.propose(t)
         y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
-        x_new, f_new = prox_step(y, h, *problem.f.value_grad(y))
+        s = prox_step(state.k, y, h, *problem.f.value_grad(y), beta, theta)
         restart_config.commit(theta, t)
-        restarted = restart_config.finish_iteration(state.k, x_new, x_prev, y)
-        return IterationSnapshot(k=state.k, x=x_new, f=f_new, y=y, h_prev=h,
-                                 t=t, L=L_fixed, beta=beta, theta=theta,
-                                 restarted=restarted)
+        s.restarted = restart_config.finish_iteration(state.k, s.x, x_prev, y)
+        return s
 
     return _drive(problem, stop, x0, step, keep_states)
-
-
-@dataclass
-class AdcaHistory:
-    """Ring buffer of the objective values of the last q+1 actual iterates."""
-
-    q: int
-    values: deque = field(init=False)
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("history depth q must be nonnegative")
-        self.values = deque(maxlen=self.q + 1)
-
-    def push(self, F: float) -> None:
-        self.values.append(F)
-
-    def max(self) -> float:
-        return max(self.values)
 
 
 def adca_run(problem: DcProblem, L_fixed: float, q: int,
@@ -361,43 +342,41 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
              keep_states: bool = False) -> RunResult:
     """Fixed-step baseline that gates extrapolation on recent objectives.
 
-    The candidate z = x + beta (x - x_prev) (projected onto the feasible set
-    when it is not the whole space) is used as the base of the proximal step
-    only if F(z) does not exceed the largest of the last q+1 iterate values;
-    otherwise the step is taken from the current iterate.  Only actual
-    iterates enter the history.  The trace records the gate decision, with
-    beta_used = 0 on rejected candidates.
+    The candidate z = x + beta (x - x_prev), projected onto the feasible
+    set, is used as the base of the proximal step only if F(z) does not
+    exceed the largest of the last q+1 iterate values (q >= 0); otherwise the
+    step is taken from the current iterate.  Only actual iterates enter the
+    history.  The trace records the gate decision, with beta_used = 0 on
+    rejected candidates.
     """
-    t, prox_step = _fixed_step(problem, L_fixed, "adca_run")
-    x0 = _check_start(problem, x0)
-    schedule = BetaSchedule(family="plain", theta_state=ThetaState(mode="classical"))
-    history = AdcaHistory(q)
-    history.push(objective(problem, x0))
+    x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "adca_run")
+    if q < 0:
+        raise ValueError("history depth q must be nonnegative")
+    schedule = BetaSchedule(family="plain")
+    history = deque([objective(problem, x0)], maxlen=q + 1)
 
     def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
         beta, theta = schedule.propose(t)
-        z = x_prev + beta * (x_prev - state.x_prev2)
-        if problem.feasible_set.kind != "whole-space":
-            z = problem.feasible_set.scaled_project(z)
+        z = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
         f_z, grad_z = problem.f.value_grad(z)
-        gate = objective(problem, z, f_z) <= history.max()
+        gate = objective(problem, z, f_z) <= max(history)
         base = z if gate else x_prev
         f_base, grad_base = (f_z, grad_z) if gate else problem.f.value_grad(x_prev)
         h = problem.h.subgrad(base)
-        x_new, f_new = prox_step(base, h, f_base, grad_base)
+        s = prox_step(state.k, base, h, f_base, grad_base,
+                      beta if gate else 0.0, theta)
         schedule.commit(theta, t)
-        return IterationSnapshot(k=state.k, x=x_new, f=f_new, y=base, h_prev=h,
-                                 t=t, L=L_fixed, beta=beta if gate else 0.0,
-                                 theta=theta, gate_passed=gate)
+        s.gate_passed = gate
+        return s
 
-    return _drive(problem, stop, x0, step, keep_states, on_value=history.push)
+    return _drive(problem, stop, x0, step, keep_states, on_value=history.append)
 
 
 # --- audits ----------------------------------------------------------------
 
 def descent_slack(problem: DcProblem, x: Array, h_x: Array, y: Array,
-                  y_bar: Array, t: float, D: DiagonalMetric | None) -> float:
+                  y_bar: Array, t: float, D: DiagonalMetric) -> float:
     """Slack of the one-step comparison bound, nonnegative when exact.
 
     For y_bar produced by the scaled proximal step at y with the subgradient
@@ -413,9 +392,9 @@ def descent_slack(problem: DcProblem, x: Array, h_x: Array, y: Array,
 
 
 def _slack(F_x: float, F_y_bar: float, x: Array, y: Array, y_bar: Array,
-           t: float, D: DiagonalMetric | None) -> float:
+           t: float, D: DiagonalMetric) -> float:
     """``descent_slack`` from the known values F(x) and F(y_bar)."""
-    rhs = F_x + (weighted_norm_sq(x - y, D) - weighted_norm_sq(x - y_bar, D)) / (2.0 * t)
+    rhs = F_x + (D.norm_sq(x - y) - D.norm_sq(x - y_bar)) / (2.0 * t)
     return rhs - F_y_bar
 
 
@@ -438,9 +417,9 @@ def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarr
     slacks = []
     F_prev = objective(problem, result.x0)
     for _, x_prev, snap in _iterates(result):
-        D = DiagonalMetric(snap.metric_diag)
         F_k = objective(problem, snap.x, snap.f)
-        slacks.append(_slack(F_prev, F_k, x_prev, snap.y, snap.x, snap.t, D))
+        slacks.append(_slack(F_prev, F_k, x_prev, snap.y, snap.x, snap.t,
+                             snap.metric))
         F_prev = F_k
     return np.asarray(slacks)
 
@@ -449,7 +428,7 @@ def extrapolation_slacks(result: RunResult) -> np.ndarray:
     """Per-iteration slack of ||x_{k-1} - y_k||_D^2 <= beta_k^2 ||x_{k-1} - x_{k-2}||_D^2."""
     slacks = []
     for x_prev2, x_prev, snap in _iterates(result):
-        D = DiagonalMetric(snap.metric_diag)
+        D = snap.metric
         slacks.append(snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
                       - D.norm_sq(x_prev - snap.y))
     return np.asarray(slacks)
@@ -476,7 +455,7 @@ def sfista_lyapunov(problem: DcProblem, x_star: Array, phi_star: float,
     theta_prev = 1.0
     F_prev = objective(problem, result.x0)
     for _, x_prev, snap in iterates:
-        D = DiagonalMetric(snap.metric_diag)
+        D = snap.metric
         v_k = x_prev + snap.theta * (snap.x - x_prev)
         F_k = objective(problem, snap.x, snap.f)
         lhs = snap.t * snap.theta ** 2 * (F_k - phi_star) + 0.5 * D.norm_sq(x_star - v_k)

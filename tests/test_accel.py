@@ -3,57 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcprox.accel import BetaSchedule, ThetaState, theta_next
+from dcprox.accel import BetaSchedule, theta_next
 
 GOLDEN = 1.618033988749895
 THETA3 = 2.193527085331054
 
 
 def test_fresh_state_yields_exactly_one_in_both_modes():
-    for mode in ("coupled", "classical"):
-        s = ThetaState(mode=mode)
-        assert theta_next(s, 0.0, 0.5) == 1.0
+    for classical in (False, True):
+        assert theta_next(1.0, 0.0, 0.5, classical) == 1.0
+        sched = BetaSchedule(family="plain", classical=classical)
+        assert sched.propose(0.5) == (0.0, 1.0)
 
 
 def test_coupled_golden_step():
-    s = ThetaState(theta_prev=1.0, theta=1.0, t_prev=1.0)
-    assert theta_next(s, 1.0, 1.0) == pytest.approx(GOLDEN, rel=1e-15)
+    assert theta_next(1.0, 1.0, 1.0) == pytest.approx(GOLDEN, rel=1e-15)
 
 
 def test_classical_ignores_step_ratio():
-    s = ThetaState(theta=GOLDEN, t_prev=1.0, mode="classical")
-    a = theta_next(s, 1.0, 1.0)
-    b = theta_next(s, 1.0, 0.125)
+    a = theta_next(GOLDEN, 1.0, 1.0, classical=True)
+    b = theta_next(GOLDEN, 1.0, 0.125, classical=True)
     assert a == b == pytest.approx(THETA3, rel=1e-15)
+    # at an unchanged step the coupled recursion is the classical one
+    assert theta_next(GOLDEN, 0.125, 0.125) == a
 
 
 def test_coupled_identity_holds():
-    s = ThetaState(theta=GOLDEN, t_prev=2.0)
     for t_cur in (0.5, 1.0, 2.0, 8.0):
-        th = theta_next(s, 2.0, t_cur)
+        th = theta_next(GOLDEN, 2.0, t_cur)
         residual = th * th - th - (2.0 / t_cur) * GOLDEN * GOLDEN
         assert abs(residual) < 1e-12 * max(1.0, th * th)
 
 
 def test_theta_next_validation():
-    s = ThetaState()
     with pytest.raises(ValueError):
-        theta_next(s, 1.0, 0.0)
+        theta_next(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        theta_next(s, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        ThetaState(mode="bogus")
+        theta_next(1.0, -1.0, 1.0)
 
 
 def test_beta_contract_frozen_value():
-    sched = BetaSchedule(family="contract", delta=0.99,
-                         theta_state=ThetaState(theta_prev=1.0, theta=GOLDEN,
-                                                t_prev=1.0))
+    sched = BetaSchedule(family="contract", delta=0.99, theta=GOLDEN, t_prev=1.0)
     beta, th = sched.propose(1.0)
     assert beta == pytest.approx(0.27893598987406765, rel=1e-14)
     sched.commit(th, 1.0)
-    assert sched.theta_state.theta_prev == pytest.approx(GOLDEN, rel=1e-15)
-    assert sched.theta_state.theta == pytest.approx(THETA3, rel=1e-15)
+    assert sched.theta == pytest.approx(THETA3, rel=1e-15)
+    assert sched.t_prev == 1.0
 
 
 def test_beta_contract_validation():
@@ -67,22 +62,19 @@ def _advanced(family, T2, legacy_divisibility=False):
     """Schedule whose last committed pair is (GOLDEN, THETA3)."""
     return BetaSchedule(family=family, T2=T2,
                         legacy_divisibility=legacy_divisibility,
-                        theta_state=ThetaState(theta_prev=GOLDEN, theta=THETA3,
-                                               t_prev=1.0))
+                        theta=THETA3, t_prev=1.0)
 
 
 def test_beta_restart_fixed_period():
-    sched = BetaSchedule(family="fixed-restart", T2=200,
-                         theta_state=ThetaState(theta_prev=1.0, theta=GOLDEN,
-                                                t_prev=1.0))
+    sched = BetaSchedule(family="fixed-restart", T2=200, theta=GOLDEN, t_prev=1.0)
     z = np.zeros(2)
     beta, th = sched.propose(1.0)
     assert beta == pytest.approx((GOLDEN - 1.0) / THETA3, rel=1e-15)
     sched.commit(th, 1.0)
     assert not sched.finish_iteration(199, z, z, z)
-    assert sched.theta_state.theta == th
+    assert sched.theta == th
     assert sched.finish_iteration(200, z, z, z)
-    assert sched.theta_state.theta == 1.0 and sched.theta_state.theta_prev == 1.0
+    assert sched.theta == 1.0
     assert sched.propose(1.0)[0] == 0.0
 
 

@@ -105,6 +105,45 @@ def test_config_rejects_unparsable_and_missing_problem_values():
                                                           key: value}]))
 
 
+@pytest.mark.parametrize("over, key", [
+    (dict(solvers=[{"name": "spdcae1", "T2": 3.7}]), "T2"),
+    (dict(solvers=[{"name": "spdcae1", "max_inner": True}]), "max_inner"),
+    (dict(solvers=[{"name": "spdcae1", "eta": "nan"}]), "eta"),
+    (dict(solvers=[{"name": "spdcae1", "rho": float("nan")}]), "rho"),
+    (dict(solvers=[{"name": "adca", "L": float("inf")}]), "L"),
+    (dict(solvers=[{"name": "adca", "q": 2.0}]), "q"),
+    (dict(problem={"kind": "logreg-synthetic", "m": 40.9, "n": 8}), "m"),
+    (dict(problem={"kind": "logreg-synthetic", "m": 40, "n": 8,
+                   "lambda": float("nan")}), "lambda"),
+    (dict(problem={"kind": "logreg-synthetic", "m": 40, "n": 8,
+                   "noise_rate": False}), "noise_rate"),
+    (dict(max_iter=5.5), "max_iter"),
+    (dict(reference_iterations=True), "reference_iterations"),
+    (dict(reference_seed="0"), "reference_seed"),
+    (dict(seeds=[0, 1.5]), "seeds"),
+    (dict(tolerances=[float("nan")]), "tolerances"),
+])
+def test_config_rejects_inexact_numbers(over, key):
+    # no truncation, no coercion of flags or strings, no NaN
+    with pytest.raises(ConfigError, match=f"invalid value .* of '{key}'"):
+        RunConfig.from_dict(_logreg_cfg(**over))
+
+
+@pytest.mark.parametrize("solver, message", [
+    ({"name": "spdcae1", "metric": "bogus"}, "unknown metric"),
+    ({"name": "pdcae0", "beta_family": "bogus"}, "unknown beta family"),
+    ({"name": "spdcae0", "eta": 0.5}, "eta must exceed 1"),
+    ({"name": "pdcae1", "T2": 0}, "restart period"),
+    ({"name": "pdcae", "beta_family": "bogus"}, "unknown beta family"),
+    ({"name": "pdcae", "L": 0.0}, "L must be positive"),
+    ({"name": "adca", "L": -1.0}, "L must be positive"),
+    ({"name": "adca", "q": -1}, "q must be nonnegative"),
+])
+def test_config_rejects_out_of_range_solver_values(solver, message):
+    with pytest.raises(ConfigError, match=f"solver '{solver['name']}': .*{message}"):
+        RunConfig.from_dict(_logreg_cfg(solvers=[solver]))
+
+
 def test_config_rejects_unsorted_tolerances():
     with pytest.raises(ConfigError, match="strictly decreasing"):
         RunConfig.from_dict(_logreg_cfg(tolerances=[1e-2, 1e-1]))

@@ -217,5 +217,21 @@ def test_unknown_solver_key_is_config_error(tmp_path, capsys, command):
     assert "'etaa'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, named", [
+    (dict(solvers=[{"name": "spdcae1", "T2": 3.7, "max_inner": True}]), "'T2'"),
+    (dict(problem={"kind": "logreg-synthetic", "m": 40, "n": 8,
+                   "lambda": float("nan")}), "'lambda'"),
+    (dict(max_iter=5.5), "'max_iter'"),
+    (dict(solvers=[{"name": "spdcae1", "metric": "bogus"}]), "'spdcae1'"),
+    (dict(solvers=[{"name": "spdcae1", "eta": 0.5}]), "'spdcae1'"),
+])
+def test_bad_solver_or_number_is_config_error(tmp_path, capsys, over, named):
+    # json.dumps writes NaN, which json.load reads back
+    cfg = _write_config(tmp_path / "cfg.json", **over)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["tune"]) == 2

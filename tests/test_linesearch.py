@@ -4,7 +4,8 @@ import pytest
 from dcprox.accel import BetaSchedule
 from dcprox.linesearch import (BacktrackConfig, IterateState, LineSearchError,
                                backtrack_step, initial_L, sufficient_decrease)
-from dcprox.metric import DiagonalMetric, IdentityMetricProvider
+from dcprox.metric import (DiagonalMetric, IdentityMetricProvider,
+                           identity_metric)
 from dcprox.problem import (DcProblem, SmoothOracle, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
 
@@ -71,8 +72,8 @@ def test_sufficient_decrease_quadratic_threshold():
     def holds(x, t, D):
         return sufficient_decrease(f.eval(x), fy, g, x - y, t, D)
 
-    assert holds(x_quarter, 0.25, None)
-    assert not holds(x_half, 0.5, None)
+    assert holds(x_quarter, 0.25, identity_metric(1))
+    assert not holds(x_half, 0.5, identity_metric(1))
     # a heavier metric compensates for the longer step: D / t is what counts
     assert holds(x_half, 0.5, DiagonalMetric(np.array([2.0])))
     assert not holds(x_half, 0.5, DiagonalMetric(np.array([1.5])))

@@ -143,7 +143,6 @@ def test_problem_assembly():
     want = v + data.lam * np.abs(x).sum() - data.lam * np.linalg.norm(x)
     assert objective(prob, x) == pytest.approx(want, rel=1e-14)
     assert not prob.h.is_zero
-    assert prob.lower_bound_hint == 0.0
 
 
 def _smooth_case(kind):

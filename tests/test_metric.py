@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from dcprox.metric import (AdaGradMetricProvider, DiagonalMetric,
                            IdentityMetricProvider, SplitGradientMetricProvider,
                            check_schedule_growth, gamma, growth_factor,
-                           identity_metric, split_gradient_metric,
-                           weighted_norm_sq)
+                           identity_metric, split_gradient_metric)
 
 
 def test_gamma_first_band():
@@ -41,8 +40,7 @@ def test_weighted_norm():
     d = DiagonalMetric(np.array([2.0, 0.5]))
     v = np.array([3.0, 4.0])
     assert d.norm_sq(v) == 2.0 * 9.0 + 0.5 * 16.0
-    assert weighted_norm_sq(v, d) == d.norm_sq(v)
-    assert weighted_norm_sq(v, None) == 25.0
+    assert identity_metric(2).norm_sq(v) == 25.0
 
 
 def test_identity_metric():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcprox.accel import BetaSchedule, ThetaState
+from dcprox.accel import BetaSchedule
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.linesearch import BacktrackConfig
 from dcprox.logreg import (build_logreg_problem, l1_proximable, l1_scaled_prox,
@@ -15,7 +15,7 @@ from dcprox.poisson import build_poisson_problem
 from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
                             least_squares_smooth, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
-from dcprox.solver import (AdcaHistory, RunResult, SolverConfig, StoppingRule,
+from dcprox.solver import (RunResult, SolverConfig, StoppingRule,
                            adca_run, descent_inequality_slacks, descent_slack,
                            extrapolation_slacks, pdcae_run, relative_error,
                            sfista_lyapunov, sfista_run, spdcae_run)
@@ -180,7 +180,7 @@ def test_descent_audit_reuses_snapshot_objectives():
     # the values of the per-snapshot formula, bit for bit
     xs = [res.x0] + [snap.x for snap in res.states]
     expected = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t,
-                              DiagonalMetric(snap.metric_diag))
+                              snap.metric)
                 for x_prev, snap in zip(xs, res.states)]
     assert slacks.tolist() == expected
 
@@ -204,8 +204,8 @@ def test_metric_stays_inside_shrinking_band():
                      keep_states=True)
     for snap in res.states:
         g = gamma(snap.k, 1e13)
-        assert np.all(snap.metric_diag >= 1.0 / g - 1e-15)
-        assert np.all(snap.metric_diag <= g * (1.0 + 1e-15))
+        assert np.all(snap.metric.diag >= 1.0 / g - 1e-15)
+        assert np.all(snap.metric.diag <= g * (1.0 + 1e-15))
 
 
 def test_energy_inequality_on_analytic_instance():
@@ -256,12 +256,25 @@ def test_gate_candidate_is_projected_when_constrained():
 
 
 def test_history_window_tracks_last_values():
-    hist = AdcaHistory(2)
-    for v in (5.0, 1.0, 4.0, 2.0, 3.0):
-        hist.push(v)
-    assert hist.max() == 4.0  # only the last q+1 = 3 values remain
+    # the gate compares F at the candidate with the largest of the last q+1
+    # iterate values, F(x_0) included; recomputed here from the snapshots
+    prob, A, yv, lam, L = _lasso_problem()
+    x0 = np.zeros(10)
+    q = 2
+    res = adca_run(prob, L, q, StoppingRule(max_iter=200), x0=x0,
+                   keep_states=True)
+    xs = [x0, x0] + [snap.x for snap in res.states]
+    Fs = [objective(prob, x0)] + [r.F_value for r in res.trace]
+    thetas = [1.0] + [snap.theta for snap in res.states]
+    gates = []
+    for k in range(1, res.n_iterations + 1):
+        beta = (thetas[k - 1] - 1.0) / thetas[k]
+        z = xs[k] + beta * (xs[k] - xs[k - 1])
+        gates.append(objective(prob, z) <= max(Fs[max(0, k - 1 - q):k]))
+    assert [r.gate_passed for r in res.trace] == gates
+    assert any(gates) and not all(gates)
     with pytest.raises(ValueError):
-        AdcaHistory(-1)
+        adca_run(prob, L, -1, x0=x0)
 
 
 def test_stop_reasons():
@@ -515,3 +528,42 @@ def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
         assert all(rec.gate_passed for rec in res.trace)
         assert res.trace[-1].beta_used > 0.0
     assert {k: after[k] - before[k] for k in after} == {"eval": 1, "value_grad": 1}
+
+
+def _record_reprs(res):
+    """The trace without timings, NaN-safe and exact to the last bit."""
+    return [repr(dataclasses.replace(r, wall_clock_seconds=0.0)) for r in res.trace]
+
+
+@pytest.mark.parametrize("divisor", [1.0, 50.0])
+def test_fixed_step_classical_weights_match_default_schedule(divisor):
+    # at a constant step the coupled theta recursion is the classical one
+    prob, A, yv, lam, L = _lasso_problem(seed=7)
+    stop = StoppingRule(max_iter=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        default = pdcae_run(prob, L / divisor, stop=stop, x0=np.zeros(10))
+        classical = pdcae_run(prob, L / divisor, BetaSchedule(classical=True),
+                              stop, x0=np.zeros(10))
+    assert default.stop_reason == classical.stop_reason
+    assert _record_reprs(default) == _record_reprs(classical)
+    assert default.x.tobytes() == classical.x.tobytes()
+
+
+@pytest.mark.parametrize("runner", ["pdcae", "adca"])
+def test_fixed_step_snapshots_carry_identity_metric(runner):
+    data, _ = gen_logreg(30, 8, rng=8)
+    prob = build_logreg_problem(data)
+    res = RUNNERS[runner](prob, logistic_lipschitz_bound(data),
+                          StoppingRule(max_iter=60), x0=np.zeros(8),
+                          keep_states=True)
+    assert all(np.array_equal(snap.metric.diag, np.ones(8)) for snap in res.states)
+    D = DiagonalMetric(np.ones(8))
+    xs = [res.x0, res.x0] + [snap.x for snap in res.states]
+    descent = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t, D)
+               for x_prev, snap in zip(xs[1:], res.states)]
+    extrapolation = [snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
+                     - D.norm_sq(x_prev - snap.y)
+                     for x_prev2, x_prev, snap in zip(xs, xs[1:], res.states)]
+    assert descent_inequality_slacks(prob, res).tolist() == descent
+    assert extrapolation_slacks(res).tolist() == extrapolation
