@@ -85,6 +85,11 @@ _PROBLEM_KEYS = {
     "dataset-json": {"path": (str, ...)},
 }
 
+# Problem kind -> problem family; a dataset file names its family only once
+# it is loaded.
+_KIND_FAMILY = {"logreg-synthetic": "logreg", "poisson-synthetic": "poisson",
+                "logreg-file": "logreg", "dataset-json": None}
+
 
 # Solver name -> {key: parser}; a line-search profile takes the
 # BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
@@ -136,21 +141,42 @@ def _solver_options(scfg: dict) -> dict:
     return _parse_keys(scfg, "name", _SOLVER_KEYS[scfg["name"]])
 
 
-def _check_solver(name: str, overrides: dict) -> None:
-    """Build the settings a run of ``name`` builds, so that an out-of-range
-    value is a ConfigError naming the solver before any run starts."""
+def _check_solver(name: str, overrides: dict, family: Optional[str],
+                  role: str = "solver") -> None:
+    """Build the settings a run of ``name`` builds on a problem of ``family``
+    ("logreg" or "poisson"; None when not known yet, which checks what
+    either family needs), so that an out-of-range value or a setting the
+    family cannot run is a ConfigError naming the solver before any run
+    starts."""
     try:
         if name in _LINE_SEARCH_SOLVERS:
-            # the defaults of either problem family are in range
-            _profile(name, "logreg", overrides)
+            # either family's defaults are in range, so a family not known
+            # yet is checked with the logistic ones
+            config = _profile(name, family or "logreg", overrides)
+            if config.metric == "split-gradient" and family == "logreg":
+                # only the Poisson builder provides a gradient split
+                raise ValueError("the split-gradient metric needs a Poisson problem")
         elif name == "pdcae":
             _fixed_schedule(overrides)
         if overrides.get("L", 1.0) <= 0.0:
             raise ValueError("fixed curvature constant L must be positive")
         if overrides.get("q", 0) < 0:
             raise ValueError("history depth q must be nonnegative")
+        if name in ("pdcae", "adca") and "L" not in overrides \
+                and family == "poisson":
+            # only the logistic family has a curvature bound to default to
+            raise ValueError("fixed-step solvers need an explicit 'L' "
+                             "on a Poisson problem")
     except ValueError as exc:
-        raise ConfigError(f"solver {name!r}: {exc}") from None
+        raise ConfigError(f"{role} {name!r}: {exc}") from None
+
+
+def _check_solvers(config: "RunConfig", family: Optional[str]) -> None:
+    """``_check_solver`` on every solver entry and on the reference solver
+    (which runs with its defaults) for a problem of ``family``."""
+    for s in config.solvers:
+        _check_solver(s["name"], _solver_options(s), family)
+    _check_solver(config.reference_solver, {}, family, role="reference solver")
 
 
 @dataclass
@@ -176,7 +202,7 @@ class RunConfig:
         for s in self.solvers:
             if not isinstance(s, dict) or "name" not in s:
                 raise ConfigError("each solver entry needs a 'name'")
-            _check_solver(s["name"], _solver_options(s))
+        _check_solvers(self, _KIND_FAMILY[self.problem["kind"]])
         for name in ("max_iter", "reference_iterations", "reference_seed"):
             _parsed(getattr(self, name), _json_int, repr(name))
         for seed in self.seeds:
@@ -237,6 +263,14 @@ class _Base:
     L_hint: Optional[float] = None
 
 
+def _checked_base(config: RunConfig) -> _Base:
+    """The configured problem family, with every solver checked against it
+    before any solve (a dataset file's family is known only now)."""
+    base = _build_base(config.problem)
+    _check_solvers(config, base.kind)
+    return base
+
+
 def _build_base(pcfg: dict) -> _Base:
     kind = pcfg["kind"]
     p = _problem_options(pcfg)
@@ -278,13 +312,13 @@ def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
 # --- solver profiles ----------------------------------------------------------
 
 def _fixed_L(base: _Base, overrides: dict) -> float:
+    """The entry's 'L', or the logistic curvature bound (``_check_solver``
+    has made sure that an entry on any other family carries an 'L')."""
     if "L" in overrides:
         return overrides["L"]
-    if base.kind == "logreg":
-        if base.L_hint is None:
-            base.L_hint = logistic_lipschitz_bound(base.data)
-        return base.L_hint
-    raise ConfigError("fixed-step solvers need an explicit 'L' for this problem")
+    if base.L_hint is None:
+        base.L_hint = logistic_lipschitz_bound(base.data)
+    return base.L_hint
 
 
 def _profile(name: str, base_kind: str, overrides: dict) -> SolverConfig:
@@ -352,7 +386,7 @@ def solve_reference(config: RunConfig) -> Tuple[float, int, str]:
     reference seed; Poisson references use the reference seed's count
     realization.  Deterministic for a fixed configuration.
     """
-    base = _build_base(config.problem)
+    base = _checked_base(config)
     return _reference_value(config, base, *_instance(base, config.reference_seed))
 
 
@@ -395,7 +429,7 @@ def run_matrix(config: RunConfig) -> BenchResult:
     When ``config.out_dir`` is set, writes one trace CSV per cell plus
     ``summary.csv`` and ``summary.json``.
     """
-    base = _build_base(config.problem)
+    base = _checked_base(config)
     shared_ref: Optional[Tuple[float, int, str]] = None
     if base.kind == "logreg":
         shared_ref = _reference_value(config, base, *_instance(base, config.reference_seed))

@@ -8,6 +8,7 @@ concave part the l2 norm, so the penalty vanishes on one-sparse vectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -82,9 +83,14 @@ def l1_scaled_prox(v: Array, t: float, lam: float,
     return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
 
 
+def _norm(x: Array) -> float:
+    # what np.linalg.norm computes for a 1-d float vector, without its dispatch
+    return math.sqrt(x.dot(x))
+
+
 def l2_subgradient(x: Array, lam: float) -> Array:
     """lam * x / ||x||, with the zero vector selected at the origin."""
-    nrm = float(np.linalg.norm(x))
+    nrm = _norm(x)
     if nrm == 0.0:
         return np.zeros_like(x)
     return lam * x / nrm
@@ -138,7 +144,7 @@ def l1_proximable(lam: float) -> ProximableOracle:
 def l2_concave(lam: float) -> ConcavePartOracle:
     """h(x) = lam ||x||_2 with the deterministic subgradient selection."""
     return ConcavePartOracle(
-        eval=lambda x: float(lam * np.linalg.norm(x)),
+        eval=lambda x: float(lam * _norm(x)),
         subgrad=lambda x: l2_subgradient(x, lam))
 
 

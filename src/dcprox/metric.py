@@ -29,7 +29,9 @@ class DiagonalMetric:
         d = np.asarray(self.diag, dtype=float)
         if d.ndim != 1:
             raise ValueError("metric diagonal must be a 1-d vector")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        # one reduction per bound; a NaN propagates through both and fails
+        if not (np.minimum.reduce(d, initial=math.inf) > 0.0
+                and np.maximum.reduce(d, initial=-math.inf) < math.inf):
             raise ValueError("metric diagonal entries must be positive and finite")
         object.__setattr__(self, "diag", d)
 
@@ -75,7 +77,12 @@ def split_gradient_metric(k: int, y_k: Array, V: Array, clamp_numerator: float) 
         raise ValueError("y and V must have matching shapes")
     if np.any(V <= 0.0):
         raise ValueError("split denominator must be strictly positive")
-    return DiagonalMetric(1.0 / _clamp_band(y_k / V, k, clamp_numerator))
+    return _inverse_clamped_ratio(k, y_k, V, clamp_numerator)
+
+
+def _inverse_clamped_ratio(k: int, y: Array, V: Array,
+                           clamp_numerator: float) -> DiagonalMetric:
+    return DiagonalMetric(1.0 / _clamp_band(y / V, k, clamp_numerator))
 
 
 def check_schedule_growth(D_prev: DiagonalMetric, D_next: DiagonalMetric, eta_k: float) -> bool:
@@ -135,15 +142,25 @@ class SplitGradientMetricProvider:
     """Diagonal from the positive split of the gradient at the trial point.
 
     ``V`` is the strictly positive split denominator; the gradient split
-    -grad f = U - V it comes from has a constant V.
+    -grad f = U - V it comes from has a constant V.  ``V`` is checked once,
+    here, and each trial checks only the shape of its point; the metric it
+    builds is validated as every ``DiagonalMetric`` is (the clamp band
+    propagates a NaN, so it does not guarantee finite entries).
     """
 
     def __init__(self, V: Array, clamp_numerator: float = DEFAULT_CLAMP_NUMERATOR):
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 1:
+            raise ValueError("split denominator must be a 1-d vector")
+        if np.any(V <= 0.0):
+            raise ValueError("split denominator must be strictly positive")
         self.V = V
         self.clamp_numerator = float(clamp_numerator)
 
     def trial(self, k: int, y: Array, grad_y: Array) -> DiagonalMetric:
-        return split_gradient_metric(k, y, self.V, self.clamp_numerator)
+        if y.shape != self.V.shape:
+            raise ValueError("y and V must have matching shapes")
+        return _inverse_clamped_ratio(k, y, self.V, self.clamp_numerator)
 
     def accept(self, k: int, grad_y: Array) -> None:
         pass

@@ -6,12 +6,18 @@ contributes just c_i).  The nonnegativity constraint rides inside the
 proximable term, so the prox is a one-sided soft threshold.  The gradient
 splits as -grad KL = U - V with U = A^T (b / (A x + bg)) >= 0 and the
 constant V = A^T 1 > 0, which the problem carries for the split-gradient metric.
+
+The constants of the KL value that depend on the counts alone (the mask of
+positive counts, those counts, and their total) are built once per data
+record, so an oracle call pays only for the products, the logarithms and one
+``min`` reduction per domain check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +31,20 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class PoissonCsData:
-    """Nonnegative sensing matrix, observed counts, background, penalty."""
+    """Nonnegative sensing matrix, observed counts, background, penalty.
+
+    ``pos`` (the mask b > 0), ``b_pos`` (= b[pos]) and ``b_sum`` (= sum b) are
+    derived from the counts on construction; the counts are not to be
+    mutated afterwards.
+    """
 
     A: Array
     b: Array
     bg: float = 1e-10
     lam: float = 1e-3
+    pos: Array = field(init=False, repr=False, compare=False)
+    b_pos: Array = field(init=False, repr=False, compare=False)
+    b_sum: np.float64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -47,6 +61,10 @@ class PoissonCsData:
             raise ValueError("penalty weight must be nonnegative")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        pos = b > 0.0
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "b_pos", b[pos])
+        object.__setattr__(self, "b_sum", np.sum(b))
 
     @property
     def m(self) -> int:
@@ -57,19 +75,24 @@ class PoissonCsData:
         return self.A.shape[1]
 
 
+# Smallest entry ignoring NaNs, +inf for an empty vector, so that
+# ``_smallest(v) < a`` is ``np.any(v < a)`` in one reduction: a point with a
+# NaN and a negative entry is still rejected, an all-NaN one is not.
+_smallest = functools.partial(np.fmin.reduce, initial=math.inf)
+
+
 def _intensity(data: PoissonCsData, x: Array) -> Array:
-    if np.any(x < 0.0):
+    if _smallest(x) < 0.0:
         raise EvaluationDomainError("KL term evaluated at a negative point")
     c = data.A @ x + data.bg
-    if np.any(c <= 0.0):
+    if _smallest(c) <= 0.0:
         raise EvaluationDomainError("model intensity is not strictly positive")
     return c
 
 
 def _kl_at(data: PoissonCsData, c: Array) -> float:
-    b = data.b
-    pos = b > 0.0
-    return float(np.sum(c) - np.sum(b) + np.sum(b[pos] * np.log(b[pos] / c[pos])))
+    b_pos = data.b_pos
+    return float(c.sum() - data.b_sum + (b_pos * np.log(b_pos / c[data.pos])).sum())
 
 
 def kl_value(data: PoissonCsData, x: Array) -> float:
@@ -117,9 +140,9 @@ def l1_nonneg_proximable(lam: float) -> ProximableOracle:
     """g(x) = lam ||x||_1 + indicator(x >= 0)."""
 
     def value(x: Array) -> float:
-        if np.any(x < 0.0):
+        if _smallest(x) < 0.0:
             return math.inf
-        return float(lam * np.sum(x))
+        return float(lam * x.sum())
 
     return ProximableOracle(
         eval=value,

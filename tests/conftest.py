@@ -7,6 +7,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def finite_diff_grad(fn, x, step=1e-6):
@@ -42,3 +43,14 @@ def golden_section(fn, lo, hi, tol=1e-10, max_iter=200):
         hi = np.where(move, d, hi)
         lo = np.where(move, lo, c)
     return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def no_solves(monkeypatch):
+    """Make any solver run that the bench module starts fail the test."""
+    from dcprox import bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve started")
+    for name in ("spdcae_run", "pdcae_run", "adca_run"):
+        monkeypatch.setattr(bench, name, refuse)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcprox import bench
 from dcprox.bench import (_REFERENCE_STALL_ITERS, BenchResult, ConfigError,
                           RunConfig, _build_base, _first_hits, _instance,
                           _profile, read_summary_csv, read_trace_csv,
                           run_matrix, run_reference, solve_reference,
                           write_trace_csv)
+from dcprox.datasets import save_dataset_json
 from dcprox.solver import StoppingRule, TraceRecord, spdcae_run
 
 
@@ -142,6 +144,54 @@ def test_config_rejects_inexact_numbers(over, key):
 def test_config_rejects_out_of_range_solver_values(solver, message):
     with pytest.raises(ConfigError, match=f"solver '{solver['name']}': .*{message}"):
         RunConfig.from_dict(_logreg_cfg(solvers=[solver]))
+
+
+# (config, overrides, error): solver entries the problem's family cannot run
+_FAMILY_MISMATCHES = [
+    pytest.param(_logreg_cfg,
+                 dict(solvers=[{"name": "spdcae1", "metric": "split-gradient"}]),
+                 "solver 'spdcae1': the split-gradient metric needs a Poisson problem",
+                 id="logreg-split-gradient"),
+    pytest.param(_logreg_cfg,
+                 dict(solvers=[{"name": "spdcae1"},
+                               {"name": "pdcae0", "metric": "split-gradient"}]),
+                 "solver 'pdcae0': the split-gradient metric",
+                 id="logreg-second-entry-split-gradient"),
+    pytest.param(_poisson_cfg, dict(solvers=[{"name": "spdcae1"}, {"name": "pdcae"}]),
+                 "solver 'pdcae': fixed-step solvers need an explicit 'L'",
+                 id="poisson-pdcae-without-L"),
+    pytest.param(_poisson_cfg, dict(solvers=[{"name": "adca", "q": 2}]),
+                 "solver 'adca': fixed-step solvers need an explicit 'L'",
+                 id="poisson-adca-without-L"),
+    pytest.param(_poisson_cfg, dict(reference_solver="pdcae"),
+                 "reference solver 'pdcae': fixed-step solvers need an explicit 'L'",
+                 id="poisson-pdcae-reference"),
+]
+
+
+@pytest.mark.parametrize("make_cfg, over, message", _FAMILY_MISMATCHES)
+def test_config_rejects_solvers_the_family_cannot_run(make_cfg, over, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(make_cfg(**over))
+
+
+@pytest.mark.parametrize("make_cfg, over, message", _FAMILY_MISMATCHES)
+def test_dataset_file_checks_solvers_before_first_solve(tmp_path, no_solves,
+                                                        make_cfg, over, message):
+    # a dataset file names its family only once it is loaded
+    base = _build_base(make_cfg()["problem"])
+    path = tmp_path / "data.json"
+    save_dataset_json(path, "logreg" if base.kind == "logreg" else "poisson-cs",
+                      base.data, base.truth)
+    problem = {"kind": "dataset-json", "path": str(path)}
+    assert bench._checked_base(RunConfig.from_dict(make_cfg(problem=problem))).kind \
+        == base.kind
+    cfg = RunConfig.from_dict(make_cfg(problem=problem, out_dir=str(tmp_path / "out"),
+                                       **over))
+    for run in (run_matrix, solve_reference):
+        with pytest.raises(ConfigError, match=message):
+            run(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unsorted_tolerances():

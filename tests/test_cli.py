@@ -233,5 +233,35 @@ def test_bad_solver_or_number_is_config_error(tmp_path, capsys, over, named):
     assert not (tmp_path / "out").exists()
 
 
+_FAMILY_PROBLEMS = {
+    "logreg": ({"kind": "logreg-synthetic", "m": 40, "n": 8, "lambda": 0.01},
+               ["--kind", "logreg-synthetic", "--m", "40", "--n", "8"]),
+    "poisson": ({"kind": "poisson-synthetic", "n": 25, "m": 10, "k_nonzeros": 3,
+                 "amp_max": 100.0},
+                ["--kind", "poisson-synthetic", "--m", "10", "--n", "25",
+                 "--k-nonzeros", "3", "--amp-max", "100"]),
+}
+
+
+@pytest.mark.parametrize("source", ["synthetic", "dataset-json"])
+@pytest.mark.parametrize("family, solvers, named", [
+    ("logreg", [{"name": "spdcae1", "metric": "split-gradient"}], "'spdcae1'"),
+    ("poisson", [{"name": "spdcae1"}, {"name": "pdcae"}], "'pdcae'"),
+], ids=["logreg-split-gradient", "poisson-pdcae-without-L"])
+def test_solver_the_family_cannot_run_is_config_error(tmp_path, capsys, no_solves,
+                                                      source, family, solvers, named):
+    problem, gen_args = _FAMILY_PROBLEMS[family]
+    if source == "dataset-json":
+        data = tmp_path / "data.json"
+        assert main(["gen", *gen_args, "--out", str(data)]) == 0
+        problem = {"kind": "dataset-json", "path": str(data)}
+    cfg = _write_config(tmp_path / "cfg.json", problem=problem, solvers=solvers)
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert named in out.err and out.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["tune"]) == 2

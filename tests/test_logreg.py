@@ -109,6 +109,19 @@ def test_norm_subgradient():
     assert np.linalg.norm(g) == pytest.approx(2.0)
 
 
+def test_norm_matches_numpy_norm_bit_for_bit():
+    # h and its subgradient compute ||x|| as np.linalg.norm does for a 1-d
+    # float vector: the square root of x.x
+    rng = np.random.default_rng(11)
+    h = l2_concave(0.3)
+    for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+        for n in (1, 7, 500):
+            x = scale * rng.standard_normal(n)
+            nrm = np.linalg.norm(x)
+            assert np.array_equal(l2_subgradient(x, 0.3), 0.3 * x / nrm)
+            assert h.eval(x) == float(0.3 * nrm)
+
+
 def test_lipschitz_bound_frozen_scalars():
     data = LogRegData(A=np.array([[2.0]]), b=np.array([1.0]), lam=1e-3)
     assert logistic_lipschitz_bound(data) == pytest.approx(1.0, rel=1e-7)

@@ -33,6 +33,12 @@ def test_diagonal_metric_validation():
     with pytest.raises(ValueError):
         DiagonalMetric(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
+        DiagonalMetric(np.array([np.nan, -1.0]))
+    with pytest.raises(ValueError):
+        DiagonalMetric(np.array([1.0, np.inf]))
+    with pytest.raises(ValueError):
+        DiagonalMetric(np.array([-np.inf, 1.0]))
+    with pytest.raises(ValueError):
         DiagonalMetric(np.ones((2, 2)))
 
 
@@ -116,6 +122,23 @@ def test_split_provider_uses_column_sums():
     prov = SplitGradientMetricProvider(V, clamp_numerator=32.0)
     D = prov.trial(1, np.array([2.0, 8.0]), np.zeros(2))
     assert np.allclose(D.diag, [0.5, 1.0 / 3.0])
+
+
+def test_split_provider_checks_denominator_once_and_shape_per_trial():
+    for V in (np.array([1.0, 0.0]), np.array([1.0, -2.0]), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            SplitGradientMetricProvider(V)
+    prov = SplitGradientMetricProvider(np.array([1.0, 2.0]), clamp_numerator=32.0)
+    with pytest.raises(ValueError, match="matching shapes"):
+        prov.trial(1, np.ones(3), np.zeros(3))
+    # the metric it builds is still validated: the clamp band passes a NaN on
+    assert np.isnan(np.maximum(0.5, np.minimum(2.0, np.array([np.nan, 1.0])))[0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        prov.trial(1, np.array([np.nan, 1.0]), np.zeros(2))
+    # and it agrees with the public function bit for bit
+    y = np.array([0.0, 3.0])
+    assert np.array_equal(prov.trial(4, y, np.zeros(2)).diag,
+                          split_gradient_metric(4, y, np.array([1.0, 2.0]), 32.0).diag)
 
 
 def test_growth_checks():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import finite_diff_grad
@@ -5,7 +7,7 @@ from conftest import finite_diff_grad
 from dcprox.datasets import gen_poisson_cs
 from dcprox.metric import DiagonalMetric
 from dcprox.poisson import (PoissonCsData, build_poisson_problem, kl_split,
-                            kl_value_grad, l1_nonneg_proximable,
+                            kl_value, kl_value_grad, l1_nonneg_proximable,
                             l1_nonneg_scaled_prox)
 from dcprox.problem import EvaluationDomainError, objective
 
@@ -54,6 +56,58 @@ def test_negative_point_rejected():
         kl_value_grad(data, np.array([-0.1]))
     with pytest.raises(EvaluationDomainError):
         kl_split(data, np.array([-0.1]))
+
+
+def _counts_with_zeros():
+    data, _ = gen_poisson_cs(n=30, m=12, k_nonzeros=3, amp_max=50.0, rng=6)
+    b = data.b.copy()
+    b[::3] = 0.0  # rows with zero counts contribute c_i only
+    return PoissonCsData(A=data.A, b=b, bg=data.bg, lam=data.lam)
+
+
+def test_kl_matches_direct_formula_bit_for_bit():
+    # the constants built once per record give the values the formula gives
+    data = _counts_with_zeros()
+    A, b = data.A, data.b
+    pos = b > 0.0
+    assert 0 < pos.sum() < b.size
+    rng = np.random.default_rng(8)
+    points = [np.zeros(30), np.ones(30)]
+    points += [rng.uniform(0.0, scale, 30) for scale in (1e-3, 1.0, 1e4)
+               for _ in range(4)]
+    for x in points:
+        c = A @ x + data.bg
+        want = float(np.sum(c) - np.sum(b) + np.sum(b[pos] * np.log(b[pos] / c[pos])))
+        v, g = kl_value_grad(data, x)
+        assert v == want
+        assert kl_value(data, x) == want
+        assert np.array_equal(g, A.T @ (1.0 - b / c))
+
+
+def test_constants_follow_the_counts_through_replace():
+    data = _counts_with_zeros()
+    copy = dataclasses.replace(data)
+    assert np.array_equal(copy.pos, data.pos) and copy.b_sum == data.b_sum
+    x = np.full(30, 0.5)
+    assert kl_value(copy, x) == kl_value(data, x)
+    recount = dataclasses.replace(data, b=data.b + 1.0)
+    assert recount.b_sum == np.sum(data.b + 1.0) and recount.pos.all()
+    assert kl_value(recount, x) == kl_value(PoissonCsData(A=data.A, b=data.b + 1.0,
+                                                          bg=data.bg), x)
+
+
+def test_nan_point_gives_nan_value_and_negative_entry_still_rejected():
+    data = PoissonCsData(A=np.array([[1.0, 2.0]]), b=np.array([3.0]))
+    nan_point = np.array([np.nan, 1.0])
+    assert np.isnan(kl_value(data, nan_point))
+    assert np.isnan(kl_value_grad(data, nan_point)[0])
+    # a negative entry is rejected wherever a NaN sits
+    for x in (np.array([np.nan, -1.0]), np.array([-1.0, np.nan])):
+        with pytest.raises(EvaluationDomainError):
+            kl_value_grad(data, x)
+    g = l1_nonneg_proximable(0.5)
+    assert np.isnan(g.eval(nan_point))
+    assert g.eval(np.array([np.nan, -1.0])) == np.inf
 
 
 def test_data_validation():
