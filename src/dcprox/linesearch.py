@@ -77,7 +77,8 @@ class IterateState:
 
     Holds the two most recent iterates (equal at the start), the subgradient
     of the concave part at the newest one, and the last accepted curvature
-    estimate.
+    estimate.  When the smooth term has a linear form, ``z_prev`` and
+    ``z_prev2`` are A x_prev and A x_prev2, each computed from its iterate.
     """
 
     x_prev: Array
@@ -85,13 +86,16 @@ class IterateState:
     h_prev: Array | None = None
     L_prev: float = 1.0
     k: int = 1
+    z_prev: Array | None = None
+    z_prev2: Array | None = None
 
 
 @dataclass
 class IterationSnapshot:
     """Accepted iteration k, as every step policy returns it and the loop
     keeps it: x with f = f(x), from the prox step of size t = 1/L in the
-    metric at y with the h-subgradient h_prev; beta and theta gave y.
+    metric at y with the h-subgradient h_prev; beta and theta gave y.  z is
+    A x when the smooth term has a linear form, None otherwise.
     """
 
     k: int
@@ -107,6 +111,7 @@ class IterationSnapshot:
     n_backtracks: int = 0
     restarted: bool = False
     gate_passed: bool | None = None
+    z: Array | None = None
 
 
 def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
@@ -144,13 +149,36 @@ def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
     return fx <= bound + _DECREASE_SLACK * max(1.0, abs(fy))
 
 
+def extrapolate(problem: DcProblem, state: IterateState,
+                beta: float) -> tuple[Array, float, Array]:
+    """y = P(x_prev + beta (x_prev - x_prev2)) with f(y) and grad f(y).
+
+    On the whole space y is not projected, so with a linear form f is taken
+    at A y = z_prev + beta (z_prev - z_prev2) without a forward product;
+    elsewhere the projection breaks linearity and f is called at y.
+    """
+    x_prev, z_prev = state.x_prev, state.z_prev
+    y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
+    if z_prev is not None and problem.feasible_set.kind == "whole-space":
+        return y, *problem.f.value_grad_at(z_prev + beta * (z_prev - state.z_prev2))
+    return y, *problem.f.value_grad(y)
+
+
 def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
-               h: Array, t: float, D: DiagonalMetric) -> tuple[Array, float, bool]:
+               h: Array, t: float,
+               D: DiagonalMetric) -> tuple[Array, Array | None, float, bool]:
     """x_new = prox of g of size t in the metric D at y - t D^{-1} (grad_y - h),
-    f(x_new), and whether the decrease test from (f_y, grad_y) at y holds."""
+    z_new = A x_new (None without a linear form), f(x_new), and whether the
+    decrease test from (f_y, grad_y) at y holds."""
     x_new = problem.g.scaled_prox(y - t * (grad_y - h) / D.diag, t, D)
-    f_new = problem.f.eval(x_new)
-    return x_new, f_new, sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D)
+    f = problem.f
+    if f.A is None:
+        z_new, f_new = None, f.eval(x_new)
+    else:
+        z_new = f.A @ x_new
+        f_new = f.value_at(z_new)
+    return (x_new, z_new, f_new,
+            sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D))
 
 
 def backtrack_step(problem: DcProblem, config: BacktrackConfig,
@@ -166,11 +194,10 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
     grad_y)``; the restart rule is left to the caller.  ``state.h_prev`` must
     hold the subgradient of h at ``state.x_prev``.  The smooth term is called
-    once per extrapolated point (``value_grad``) and once per trial point
-    (``eval``).
+    once per extrapolated point (``extrapolate``) and once per trial point
+    (``prox_trial``).
     """
     k = state.k
-    x_prev, x_prev2 = state.x_prev, state.x_prev2
     h_prev = state.h_prev
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)
     monotone = config.mode == "monotone"
@@ -179,18 +206,17 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
         t = 1.0 / L
         if i == 0 or not monotone:
             beta, theta = beta_provider.propose(t)
-            y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - x_prev2))
-            f_y, grad_y = problem.f.value_grad(y)
+            y, f_y, grad_y = extrapolate(problem, state, beta)
             D = metric_provider.trial(k, y, grad_y)
-        x_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h_prev, t, D)
+        x_new, z_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h_prev, t, D)
         if ok:
             beta_provider.commit(theta, t)
             metric_provider.accept(k, grad_y)
             return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, h_prev=h_prev,
                                      t=t, L=L, beta=beta, theta=theta,
-                                     metric=D, n_backtracks=i)
+                                     metric=D, n_backtracks=i, z=z_new)
         L = config.eta * L
 
     raise LineSearchError(
         f"line search did not terminate within {config.max_inner} trials "
-        f"at iteration {k} (last L = {L:.3e})", k=k, L=L, x=x_prev, y=y)
+        f"at iteration {k} (last L = {L:.3e})", k=k, L=L, x=state.x_prev, y=y)

@@ -4,6 +4,8 @@ Model: minimize (1/m) sum_i log(1 + exp(-b_i <a_i, x>)) + lam ||x||_1
                - lam ||x||_2 over the whole space.  The smooth part is the
 averaged logistic loss, the proximable part the l1 term, and the subtracted
 concave part the l2 norm, so the penalty vanishes on one-sparse vectors.
+The smooth part is written at z = A x once (``logistic_smooth``), so the
+solvers can carry z through their loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.special import expit
 
 from .metric import DiagonalMetric
 from .problem import (ConcavePartOracle, DcProblem, ProximableOracle,
-                      SmoothOracle, whole_space)
+                      SmoothOracle, linear_composite, whole_space)
 
 Array = np.ndarray
 
@@ -37,8 +39,10 @@ class LogRegData:
             raise ValueError("labels must be -1 or +1")
         if self.A.shape[0] != b.shape[0]:
             raise ValueError("label count must match the number of rows")
-        if self.lam <= 0.0:
-            raise ValueError("penalty weight must be positive")
+        if not np.isfinite(self.A.data if sp.issparse(self.A) else self.A).all():
+            raise ValueError("design matrix A has non-finite entries")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError("penalty weight lam must be positive and finite")
         object.__setattr__(self, "b", b)
 
     @property
@@ -50,25 +54,39 @@ class LogRegData:
         return self.A.shape[1]
 
 
-def _mean_softplus(z: Array) -> float:
-    # mean of log(1 + exp(z)) without overflow: max(z, 0) + log1p(exp(-|z|)).
-    return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
+def _mean_softplus(u: Array) -> float:
+    # mean of log(1 + exp(u)) without overflow: max(u, 0) + log1p(exp(-|u|)).
+    return float(np.mean(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))))
 
 
-def logistic_value(data: LogRegData, x: Array) -> float:
-    """Averaged logistic loss (1/m) sum_i log(1 + exp(-b_i <a_i, x>))."""
-    return _mean_softplus(-data.b * (data.A @ x))
+def logistic_smooth(data: LogRegData) -> SmoothOracle:
+    """Averaged logistic loss f(x) = l(A x) with its linear form.
+
+    At z = A x and u = -b * z:
+    value = (1/m) sum_i log(1 + exp(u_i)),
+    grad  = -(1/m) A^T (b * sigmoid(u)).
+    """
+    A, b, m = data.A, data.b, data.m
+
+    def grad_from(u: Array) -> Array:
+        return np.asarray(-(A.T @ (b * expit(u))) / m)
+
+    def value_at(z: Array) -> float:
+        return _mean_softplus(-b * z)
+
+    def value_grad_at(z: Array) -> tuple[float, Array]:
+        u = -b * z
+        return _mean_softplus(u), grad_from(u)
+
+    def grad_at(z: Array) -> Array:
+        return grad_from(-b * z)
+
+    return linear_composite(A, value_at, value_grad_at, grad_at)
 
 
 def logistic_value_grad(data: LogRegData, x: Array) -> tuple[float, Array]:
-    """Averaged logistic loss and its gradient at x, from one forward product.
-
-    value = (1/m) sum_i log(1 + exp(-b_i <a_i, x>)),
-    grad  = -(1/m) A^T (b * sigmoid(-b * A x)).
-    """
-    z = -data.b * (data.A @ x)
-    grad = -(data.A.T @ (data.b * expit(z))) / data.m
-    return _mean_softplus(z), np.asarray(grad)
+    """Averaged logistic loss and its gradient at x, from one forward product."""
+    return logistic_smooth(data).value_grad(x)
 
 
 def l1_scaled_prox(v: Array, t: float, lam: float,
@@ -150,8 +168,7 @@ def l2_concave(lam: float) -> ConcavePartOracle:
 
 def build_logreg_problem(data: LogRegData) -> DcProblem:
     """Assemble the composite problem around the logistic loss oracles."""
-    return DcProblem(f=SmoothOracle(eval=lambda x: logistic_value(data, x),
-                                    value_grad=lambda x: logistic_value_grad(data, x)),
+    return DcProblem(f=logistic_smooth(data),
                      g=l1_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=whole_space())

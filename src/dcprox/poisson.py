@@ -49,16 +49,20 @@ class PoissonCsData:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
+        if not np.isfinite(A).all():
+            raise ValueError("sensing matrix A has non-finite entries")
         if np.any(A < 0.0):
             raise ValueError("sensing matrix must be componentwise nonnegative")
+        if not np.isfinite(b).all():
+            raise ValueError("counts b have non-finite entries")
         if np.any(b < 0.0):
             raise ValueError("counts must be nonnegative")
         if A.shape[0] != b.shape[0]:
             raise ValueError("count vector must match the number of rows")
-        if self.bg <= 0.0:
-            raise ValueError("background must be positive")
-        if self.lam < 0.0:
-            raise ValueError("penalty weight must be nonnegative")
+        if not (math.isfinite(self.bg) and self.bg > 0.0):
+            raise ValueError("background bg must be positive and finite")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError("penalty weight lam must be nonnegative and finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         pos = b > 0.0

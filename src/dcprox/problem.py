@@ -6,13 +6,16 @@ Y on which f is smooth.  Oracles are plain records of callables so problems
 can be assembled from closed-form pieces without subclassing.  The smooth
 term answers ``eval(x)`` and the fused ``value_grad(x)``, so each point the
 solvers visit costs one call; ``objective`` reuses an f(x) already known.
+A smooth term of the form f(x) = l(A x) may also carry ``A`` and its
+callables at z = A x, so the solvers can carry z through the loop and form
+A y by linearity instead of a matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +38,31 @@ class SmoothOracle:
 
     Both callables must be finite on the feasible set and deterministic, and
     ``value_grad(x)[0]`` must equal ``eval(x)`` exactly.
+
+    The optional linear form describes f(x) = l(A x): the matrix ``A``
+    (dense or sparse) and, at z = A x, ``value_at(z)`` = f(x),
+    ``value_grad_at(z)`` = (f(x), grad f(x)) and ``grad_at(z)`` = grad f(x),
+    each equal bit for bit to the x-space call at x.  All four are given or
+    none is.
     """
 
     eval: Callable[[Array], float]
     value_grad: Callable[[Array], Tuple[float, Array]]
+    A: Any = None
+    value_at: Optional[Callable[[Array], float]] = None
+    value_grad_at: Optional[Callable[[Array], Tuple[float, Array]]] = None
+    grad_at: Optional[Callable[[Array], Array]] = None
+
+    def __post_init__(self):
+        parts = (self.A, self.value_at, self.value_grad_at, self.grad_at)
+        if len({part is None for part in parts}) > 1:
+            raise ValueError("a linear form needs A, value_at, value_grad_at "
+                             "and grad_at together")
 
     def grad(self, x: Array) -> Array:
-        return self.value_grad(x)[1]
+        if self.A is None:
+            return self.value_grad(x)[1]
+        return self.grad_at(self.A @ x)
 
 
 @dataclass(frozen=True)
@@ -84,7 +105,10 @@ class FeasibleSet:
         if self.kind == "box":
             if self.lo is None or self.hi is None:
                 raise ValueError("box set needs lo and hi")
-            if np.any(np.asarray(self.lo) > np.asarray(self.hi)):
+            lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+                raise ValueError("box set needs lo and hi without NaN")
+            if np.any(lo > hi):
                 raise ValueError("box set needs lo <= hi")
 
     def scaled_project(self, v: Array) -> Array:
@@ -144,15 +168,19 @@ def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:
     return float(f_x) + float(gx) - float(problem.h.eval(x))
 
 
-def criticality_residual(problem: DcProblem, x: Array, t: float) -> float:
+def criticality_residual(problem: DcProblem, x: Array, t: float,
+                         grad_x: Array | None = None) -> float:
     """Norm of the fixed-point displacement of one unscaled proximal step.
 
     Returns ||x - prox_{t g}(x - t (grad f(x) - h'(x)))|| with the identity
-    metric; zero exactly at critical points for any t > 0.
+    metric; zero exactly at critical points for any t > 0.  ``grad_x``, when
+    given, is taken as grad f(x) and f is not called.
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
-    step = x - t * (problem.f.grad(x) - problem.h.subgrad(x))
+    if grad_x is None:
+        grad_x = problem.f.grad(x)
+    step = x - t * (grad_x - problem.h.subgrad(x))
     x_hat = problem.g.scaled_prox(step, t, None)
     return float(np.linalg.norm(x - x_hat))
 
@@ -179,17 +207,37 @@ def quadratic_smooth(center: Array, curvature: float = 1.0) -> SmoothOracle:
     return SmoothOracle(eval=lambda x: value_grad(x)[0], value_grad=value_grad)
 
 
-def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
-    """f(x) = 1/2 ||A x - y||^2."""
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
+def linear_composite(A, value_at: Callable[[Array], float],
+                     value_grad_at: Callable[[Array], Tuple[float, Array]],
+                     grad_at: Callable[[Array], Array]) -> SmoothOracle:
+    """The smooth term f(x) = l(A x) from its callables at z = A x; the
+    x-space ``eval`` and ``value_grad`` make the one forward product."""
+    return SmoothOracle(eval=lambda x: value_at(A @ x),
+                        value_grad=lambda x: value_grad_at(A @ x),
+                        A=A, value_at=value_at, value_grad_at=value_grad_at,
+                        grad_at=grad_at)
 
-    def value(x: Array) -> float:
-        r = A @ x - y
+
+def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
+    """f(x) = 1/2 ||A x - y||^2, with its linear form.  An ndarray subclass
+    of A is kept as given, except np.matrix, whose products are 2-d."""
+    A = (np.asarray if isinstance(A, np.matrix) else np.asanyarray)(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("least-squares matrix A must be 2-d")
+    if y.shape != (A.shape[0],):
+        raise ValueError(f"least-squares target y must have {A.shape[0]} "
+                         "entries, one per row of A")
+
+    def value_at(z: Array) -> float:
+        r = z - y
         return 0.5 * float(np.dot(r, r))
 
-    def value_grad(x: Array) -> Tuple[float, Array]:
-        r = A @ x - y
+    def value_grad_at(z: Array) -> Tuple[float, Array]:
+        r = z - y
         return 0.5 * float(np.dot(r, r)), A.T @ r
 
-    return SmoothOracle(eval=value, value_grad=value_grad)
+    def grad_at(z: Array) -> Array:
+        return A.T @ (z - y)
+
+    return linear_composite(A, value_at, value_grad_at, grad_at)

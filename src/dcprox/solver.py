@@ -28,7 +28,7 @@ import numpy as np
 
 from .accel import BetaSchedule
 from .linesearch import (BacktrackConfig, IterateState, IterationSnapshot,
-                         backtrack_step, prox_trial)
+                         backtrack_step, extrapolate, prox_trial)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
                      identity_metric)
@@ -160,13 +160,17 @@ def _check_start(problem: DcProblem, x0) -> Array:
     x0 = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("start point must be finite")
+    A = problem.f.A
+    if A is not None and x0.shape != (A.shape[1],):
+        raise ValueError(f"start point must have {A.shape[1]} entries, "
+                         "one per column of A")
     if problem.g.eval(x0) == float("inf") or not problem.feasible_set.contains(x0):
         raise ValueError("start point is infeasible")
     return x0
 
 
 def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
-                 rel: float | None, x: Array, t: float,
+                 rel: float | None, s: IterationSnapshot,
                  since_low: int) -> str | None:
     if not math.isfinite(F):
         return "nonfinite"
@@ -175,7 +179,8 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
         return "rel_tol"
     if stop.crit_tol is not None:
-        if criticality_residual(problem, x, t) <= stop.crit_tol:
+        grad = None if s.z is None else problem.f.grad_at(s.z)
+        if criticality_residual(problem, s.x, s.t, grad) <= stop.crit_tol:
             return "crit_tol"
     if stop.stall_iters is not None and since_low >= stop.stall_iters:
         return "stalled"
@@ -189,12 +194,14 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
 
     ``step(state)`` returns the ``IterationSnapshot`` taken from
     ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
-    kept as is under ``keep_states``.  ``on_value`` receives each accepted
-    objective value.  The lowest objective and its iteration are tracked
-    only for a stall clause.
+    kept as is under ``keep_states``.  With a linear form, A x0 is computed
+    here once and each later z comes from the accepted snapshot.
+    ``on_value`` receives each accepted objective value.  The lowest
+    objective and its iteration are tracked only for a stall clause.
     """
     stop = stop or StoppingRule()
-    state = IterateState(x_prev=x0, x_prev2=x0)
+    z0 = None if problem.f.A is None else problem.f.A @ x0
+    state = IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0)
     trace: List[TraceRecord] = []
     states: List[IterationSnapshot] = []
     t_start = time.perf_counter()
@@ -226,9 +233,11 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
 
         state.x_prev2 = state.x_prev
         state.x_prev = s.x
+        state.z_prev2 = state.z_prev
+        state.z_prev = s.z
         state.L_prev = s.L
 
-        reason = _stop_reason(problem, stop, F, rel, s.x, s.t, k - k_low)
+        reason = _stop_reason(problem, stop, F, rel, s, k - k_low)
         if reason is not None:
             stop_reason = reason
             break
@@ -296,7 +305,8 @@ def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
     def prox_step(k: int, base: Array, h: Array, f_base: float,
                   grad_base: Array, beta: float, theta: float) -> IterationSnapshot:
         nonlocal warned
-        x_new, f_new, ok = prox_trial(problem, base, f_base, grad_base, h, t, D)
+        x_new, z_new, f_new, ok = prox_trial(problem, base, f_base, grad_base,
+                                             h, t, D)
         if not ok and not warned:
             warned = True
             # stack: prox_step < policy step < _drive < public runner < caller
@@ -304,7 +314,8 @@ def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
                           "the supplied curvature constant is likely too small",
                           RuntimeWarning, stacklevel=5)
         return IterationSnapshot(k=k, x=x_new, f=f_new, y=base, h_prev=h, t=t,
-                                 L=L_fixed, beta=beta, theta=theta, metric=D)
+                                 L=L_fixed, beta=beta, theta=theta, metric=D,
+                                 z=z_new)
 
     return x0, t, prox_step
 
@@ -328,8 +339,8 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
         x_prev = state.x_prev
         h = problem.h.subgrad(x_prev)
         beta, theta = restart_config.propose(t)
-        y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
-        s = prox_step(state.k, y, h, *problem.f.value_grad(y), beta, theta)
+        y, f_y, grad_y = extrapolate(problem, state, beta)
+        s = prox_step(state.k, y, h, f_y, grad_y, beta, theta)
         restart_config.commit(theta, t)
         s.restarted = restart_config.finish_iteration(state.k, s.x, x_prev, y)
         return s
@@ -342,12 +353,12 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
              keep_states: bool = False) -> RunResult:
     """Fixed-step baseline that gates extrapolation on recent objectives.
 
-    The candidate z = x + beta (x - x_prev), projected onto the feasible
-    set, is used as the base of the proximal step only if F(z) does not
+    The candidate y = x + beta (x - x_prev), projected onto the feasible
+    set, is used as the base of the proximal step only if F(y) does not
     exceed the largest of the last q+1 iterate values (q >= 0); otherwise the
-    step is taken from the current iterate.  Only actual iterates enter the
-    history.  The trace records the gate decision, with beta_used = 0 on
-    rejected candidates.
+    step is taken from the current iterate, where a linear form takes f from
+    the carried A x.  Only actual iterates enter the history.  The trace
+    records the gate decision, with beta_used = 0 on rejected candidates.
     """
     x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "adca_run")
     if q < 0:
@@ -356,13 +367,15 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
     history = deque([objective(problem, x0)], maxlen=q + 1)
 
     def step(state: IterateState) -> IterationSnapshot:
-        x_prev = state.x_prev
         beta, theta = schedule.propose(t)
-        z = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
-        f_z, grad_z = problem.f.value_grad(z)
-        gate = objective(problem, z, f_z) <= max(history)
-        base = z if gate else x_prev
-        f_base, grad_base = (f_z, grad_z) if gate else problem.f.value_grad(x_prev)
+        y, f_y, grad_y = extrapolate(problem, state, beta)
+        gate = objective(problem, y, f_y) <= max(history)
+        if gate:
+            base, f_base, grad_base = y, f_y, grad_y
+        else:
+            base = state.x_prev
+            f_base, grad_base = (problem.f.value_grad(base) if state.z_prev is None
+                                 else problem.f.value_grad_at(state.z_prev))
         h = problem.h.subgrad(base)
         s = prox_step(state.k, base, h, f_base, grad_base,
                       beta if gate else 0.0, theta)

@@ -66,6 +66,22 @@ def test_data_validation():
         LogRegData(A=np.ones((2, 2)), b=np.array([1.0, -1.0]), lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_data_rejects_nonfinite_penalty(lam):
+    # a NaN weight used to pass and end in a LineSearchError at k = 1
+    with pytest.raises(ValueError, match="lam"):
+        LogRegData(A=np.ones((2, 2)), b=np.array([1.0, -1.0]), lam=lam)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_data_rejects_nonfinite_matrix(sparse):
+    A = np.ones((2, 2))
+    A[1, 0] = np.nan
+    with pytest.raises(ValueError, match="matrix A"):
+        LogRegData(A=sp.csr_matrix(A) if sparse else A,
+                   b=np.array([1.0, -1.0]), lam=1e-3)
+
+
 def test_scaled_soft_threshold_frozen():
     D = DiagonalMetric(np.array([2.0, 0.5]))
     out = l1_scaled_prox(np.array([2.0, -0.5]), 1.0, 1.0, D)
@@ -192,6 +208,15 @@ def test_value_grad_matches_eval(kind):
         else:
             fd = finite_diff_grad(f.eval, x, step=1e-7)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+        if kind in ("least-squares", "logreg"):
+            # the linear form at z = A x is the x-space call, bit for bit
+            z = f.A @ x
+            value_z, grad_z = f.value_grad_at(z)
+            assert f.value_at(z) == value == value_z
+            assert grad_z.tobytes() == grad.tobytes()
+            assert f.grad_at(z).tobytes() == grad.tobytes()
+        else:
+            assert f.A is None
 
 
 def test_oracle_factories():

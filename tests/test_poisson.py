@@ -121,6 +121,20 @@ def test_data_validation():
         PoissonCsData(A=np.array([[1.0]]), b=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("matrix A", {"A": np.array([[1.0, np.nan]])}),
+    ("counts b", {"b": np.array([np.nan])}),
+    ("bg", {"bg": np.nan}),
+    ("bg", {"bg": np.inf}),
+    ("lam", {"lam": np.nan}),
+])
+def test_data_rejects_nonfinite_fields(field, kwargs):
+    # each of these used to pass: NaN < 0 and NaN <= 0 are both False
+    base = {"A": np.array([[1.0, 2.0]]), "b": np.array([3.0])}
+    with pytest.raises(ValueError, match=field):
+        PoissonCsData(**{**base, **kwargs})
+
+
 def test_nonneg_threshold_frozen():
     D = DiagonalMetric(np.array([2.0, 0.5]))
     out = l1_nonneg_scaled_prox(np.array([2.0, -0.5]), 1.0, 1.0, D)

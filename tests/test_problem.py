@@ -24,6 +24,26 @@ def test_orthant_projection_clamps():
     assert Y.contains(np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan),
+                                    (np.array([0.0, np.nan]), 1.0)])
+def test_box_rejects_nan_bounds(lo, hi):
+    # lo > hi is False for NaN, so only an explicit check catches it
+    with pytest.raises(ValueError, match="NaN"):
+        box(lo, hi)
+
+
+def test_least_squares_checks_shapes_when_built():
+    with pytest.raises(ValueError, match="2-d"):
+        least_squares_smooth(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="one per row"):
+        least_squares_smooth(np.ones((3, 2)), np.ones(2))
+    # np.matrix is taken as a plain 2-d array, as before
+    with pytest.warns(PendingDeprecationWarning):
+        A = np.matrix(np.eye(3))
+    f = least_squares_smooth(A, np.ones(3))
+    assert f.value_grad(np.zeros(3))[0] == 1.5
+
+
 def test_box_projection():
     Y = box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
     v = np.array([2.0, -5.0])

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from dcprox import bench
 from dcprox.accel import BetaSchedule
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.linesearch import BacktrackConfig
-from dcprox.logreg import (build_logreg_problem, l1_proximable, l1_scaled_prox,
-                           l2_concave, logistic_lipschitz_bound)
+from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
+                           l1_scaled_prox, l2_concave, logistic_lipschitz_bound)
 from dcprox.metric import DiagonalMetric, gamma
 from dcprox.poisson import build_poisson_problem
 from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
@@ -257,20 +258,24 @@ def test_gate_candidate_is_projected_when_constrained():
 
 def test_history_window_tracks_last_values():
     # the gate compares F at the candidate with the largest of the last q+1
-    # iterate values, F(x_0) included; recomputed here from the snapshots
+    # iterate values, F(x_0) included; recomputed here from the snapshots.
+    # On the whole space f at the candidate y is taken at A y formed by
+    # linearity from the carried A x, as the loop does.
     prob, A, yv, lam, L = _lasso_problem()
     x0 = np.zeros(10)
     q = 2
     res = adca_run(prob, L, q, StoppingRule(max_iter=200), x0=x0,
                    keep_states=True)
     xs = [x0, x0] + [snap.x for snap in res.states]
+    zs = [A @ x0, A @ x0] + [snap.z for snap in res.states]
     Fs = [objective(prob, x0)] + [r.F_value for r in res.trace]
     thetas = [1.0] + [snap.theta for snap in res.states]
     gates = []
     for k in range(1, res.n_iterations + 1):
         beta = (thetas[k - 1] - 1.0) / thetas[k]
-        z = xs[k] + beta * (xs[k] - xs[k - 1])
-        gates.append(objective(prob, z) <= max(Fs[max(0, k - 1 - q):k]))
+        y = xs[k] + beta * (xs[k] - xs[k - 1])
+        f_y = prob.f.value_at(zs[k] + beta * (zs[k] - zs[k - 1]))
+        gates.append(objective(prob, y, f_y) <= max(Fs[max(0, k - 1 - q):k]))
     assert [r.gate_passed for r in res.trace] == gates
     assert any(gates) and not all(gates)
     with pytest.raises(ValueError):
@@ -567,3 +572,94 @@ def test_fixed_step_snapshots_carry_identity_metric(runner):
                      for x_prev2, x_prev, snap in zip(xs, xs[1:], res.states)]
     assert descent_inequality_slacks(prob, res).tolist() == descent
     assert extrapolation_slacks(res).tolist() == extrapolation
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_start_length_checked_against_linear_form(runner):
+    prob, A, yv, lam, L = _lasso_problem()
+    with pytest.raises(ValueError, match="one per column of A"):
+        RUNNERS[runner](prob, L, StoppingRule(max_iter=5), x0=np.zeros(9))
+
+
+def test_snapshots_carry_exact_forward_products():
+    # acceptance-6 data and profiles: z is A x computed from x, never formed
+    # by linearity, so it matches a fresh product bit for bit
+    config = bench.RunConfig.from_dict({
+        "problem": {"kind": "logreg-synthetic", "m": 2000, "n": 300,
+                    "lambda": 1e-3, "data_seed": 0},
+        "solvers": [{"name": "spdcae1"}], "tolerances": [1e-4], "seeds": [0]})
+    base = bench._build_base(config.problem)
+    prob, x0 = bench._instance(base, 0)
+    A = base.data.A
+    L = logistic_lipschitz_bound(base.data)
+    stop = StoppingRule(max_iter=60)
+    runs = [spdcae_run(prob, bench._profile(name, "logreg", {}), stop, x0=x0,
+                       keep_states=True) for name in ("spdcae1", "pdcae1")]
+    runs += [pdcae_run(prob, L, stop=stop, x0=x0, keep_states=True),
+             adca_run(prob, L, 3, stop, x0=x0, keep_states=True)]
+    for res in runs:
+        assert len(res.states) == 60
+        assert all(snap.z.tobytes() == (A @ snap.x).tobytes() for snap in res.states)
+
+
+class _CountingMatrix(np.ndarray):
+    """Dense matrix view that counts the forward (A x) and adjoint (A^T r)
+    products it takes part in; ``A.T`` shares the counts."""
+
+    def __array_finalize__(self, obj):
+        self.counts = getattr(obj, "counts", None)
+        self.stored_strides = getattr(obj, "stored_strides", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__":
+            mat = next(x for x in inputs if isinstance(x, _CountingMatrix))
+            kind = "forward" if mat.strides == mat.stored_strides else "adjoint"
+            mat.counts[kind] += 1
+        plain = tuple(x.view(np.ndarray) if isinstance(x, _CountingMatrix) else x
+                      for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _counting(A):
+    view = np.asarray(A).view(_CountingMatrix)
+    view.counts = {"forward": 0, "adjoint": 0}
+    view.stored_strides = view.strides
+    return view
+
+
+def test_logistic_products_per_trial():
+    data, _ = gen_logreg(200, 30, rng=3)
+    L = logistic_lipschitz_bound(data)
+    A = _counting(data.A)
+    prob = build_logreg_problem(LogRegData(A=A, b=data.b, lam=data.lam))
+    stop = StoppingRule(max_iter=40)
+    x0 = np.random.default_rng(0).random(30)
+
+    # nonmonotone search: A y by linearity, so one forward product per trial
+    # point and one adjoint per extrapolated point; A x0 once
+    res = spdcae_run(prob, SolverConfig(), stop, x0=x0)
+    trials = sum(rec.n_backtracks + 1 for rec in res.trace)
+    assert trials > res.n_iterations  # some trials were rejected
+    assert A.counts == {"forward": 1 + trials, "adjoint": trials}
+
+    A.counts.update(forward=0, adjoint=0)
+    res = pdcae_run(prob, L, stop=stop, x0=x0)
+    assert A.counts == {"forward": 1 + res.n_iterations, "adjoint": res.n_iterations}
+
+
+def test_criticality_stop_takes_gradient_from_carried_product():
+    prob, A_plain, yv, lam, L = _lasso_problem()
+    A = _counting(A_plain)
+    prob = dataclasses.replace(prob, f=least_squares_smooth(A, yv))
+    cfg = SolverConfig(backtrack=BacktrackConfig(mode="monotone", L_init=L))
+    res = sfista_run(prob, cfg, StoppingRule(max_iter=50, crit_tol=1e-300),
+                     x0=np.zeros(10))
+    n = res.n_iterations
+    assert n == 50 and all(rec.n_backtracks == 0 for rec in res.trace)
+    # per iteration: A^T r at y, A x_new in the trial, A^T r at x_new in the
+    # stop test (no forward product there); A x0 once
+    assert A.counts == {"forward": 1 + n, "adjoint": 2 * n}
+    # the public three-argument call is unchanged: f.grad(x) at x
+    x = res.x
+    assert criticality_residual(prob, x, 0.5) == criticality_residual(
+        prob, x, 0.5, prob.f.value_grad(x)[1])
