@@ -10,7 +10,7 @@ benchmark harness for synthetic logistic and Poisson inverse problems.
 from .accel import BetaSchedule, theta_next
 from .bench import (BenchResult, ConfigError, RunConfig, SummaryRow,
                     read_summary_csv, read_trace_csv, run_matrix,
-                    run_reference, write_trace_csv)
+                    write_trace_csv)
 from .datasets import (ParseError, RngSpec, gen_logreg, gen_poisson_cs,
                        load_dataset_json, make_rng, poisson_sample,
                        read_libsvm, resample_counts, save_dataset_json,
@@ -19,11 +19,10 @@ from .linesearch import (BacktrackConfig, IterateState, LineSearchError,
                          backtrack_step, initial_L, sufficient_decrease)
 from .logreg import (LogRegData, build_logreg_problem, l1_proximable,
                      l1_scaled_prox, l2_concave, l2_subgradient,
-                     logistic_lipschitz_bound, logistic_value_grad)
+                     logistic_lipschitz_bound)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
-                     check_schedule_growth, gamma, growth_factor,
-                     identity_metric, split_gradient_metric)
+                     gamma, growth_factor, identity_metric)
 from .poisson import (PoissonCsData, build_poisson_problem, kl_split,
                       kl_value_grad, l1_nonneg_proximable,
                       l1_nonneg_scaled_prox)
@@ -49,19 +48,18 @@ __all__ = [
     "SmoothOracle", "SolverConfig", "SplitGradientMetricProvider",
     "StoppingRule", "SummaryRow", "TraceRecord", "adca_run", "backtrack_step",
     "box", "build_logreg_problem", "build_poisson_problem",
-    "check_schedule_growth", "criticality_residual",
+    "criticality_residual",
     "descent_inequality_slacks", "descent_slack", "extrapolation_slacks",
     "gamma", "gen_logreg", "gen_poisson_cs", "growth_factor",
     "identity_metric", "initial_L", "kl_split", "kl_value_grad",
     "l1_nonneg_proximable", "l1_nonneg_scaled_prox", "l1_proximable",
     "l1_scaled_prox", "l2_concave", "l2_subgradient", "least_squares_smooth",
     "linear_composite", "load_dataset_json", "logistic_lipschitz_bound",
-    "logistic_value_grad",
     "make_rng", "nonnegative_orthant", "objective", "pdcae_run",
     "poisson_sample", "quadratic_smooth", "read_libsvm", "read_summary_csv",
     "read_trace_csv", "relative_error", "resample_counts", "run_matrix",
-    "run_reference", "save_dataset_json", "sfista_lyapunov", "sfista_run",
-    "spdcae_run", "split_gradient_metric", "sufficient_decrease", "theta_next",
+    "save_dataset_json", "sfista_lyapunov", "sfista_run",
+    "spdcae_run", "sufficient_decrease", "theta_next",
     "whole_space", "write_libsvm", "write_trace_csv", "zero_concave",
     "zero_proximable",
 ]

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .datasets import (gen_logreg, gen_poisson_cs, load_dataset_json,
                        make_rng, read_libsvm, resample_counts)
 from .linesearch import BacktrackConfig
 from .logreg import LogRegData, build_logreg_problem, logistic_lipschitz_bound
-from .poisson import PoissonCsData, build_poisson_problem
+from .poisson import build_poisson_problem
 from .problem import DcProblem, objective
 from .solver import (RunResult, SolverConfig, StoppingRule, TraceRecord,
                      adca_run, pdcae_run, spdcae_run)
@@ -91,23 +92,6 @@ _KIND_FAMILY = {"logreg-synthetic": "logreg", "poisson-synthetic": "poisson",
                 "logreg-file": "logreg", "dataset-json": None}
 
 
-# Solver name -> {key: parser}; a line-search profile takes the
-# BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
-_BACKTRACK_KEYS = {"eta": _json_float, "T1": _json_int, "rho": _json_float,
-                   "L_floor": _json_float, "L_init": _json_float,
-                   "max_inner": _json_int, "deflate_when_divisible": _json_bool}
-_LINE_SEARCH_SOLVERS = ("spdcae1", "spdcae0", "pdcae1", "pdcae0")
-_SOLVER_KEYS = {
-    **dict.fromkeys(_LINE_SEARCH_SOLVERS, {
-        **_BACKTRACK_KEYS, "beta_family": str, "delta": _json_float,
-        "T2": _json_int, "legacy_restart_divisibility": _json_bool,
-        "metric": str, "epsilon": _json_float,
-        "clamp_numerator": _json_float}),
-    "pdcae": {"L": _json_float, "beta_family": str, "T2": _json_int},
-    "adca": {"L": _json_float, "q": _json_int},
-}
-
-
 def _parse_keys(entry: dict, label: str, parsers: dict) -> dict:
     """Every key of ``entry`` but ``label`` (its kind or name), parsed; an
     unknown key or an unparsable value is a ConfigError naming the key."""
@@ -131,52 +115,115 @@ def _problem_options(pcfg: dict) -> dict:
     out.update(_parse_keys(pcfg, "kind", {k: p for k, (p, _) in table.items()}))
     missing = [key for key, value in out.items() if value is ...]
     if missing:
-        raise ConfigError(f"problem config is missing {missing[0]!r}")
+        raise ConfigError(f"problem kind {pcfg['kind']!r} is missing {missing[0]!r}")
     return out
 
 
-def _solver_options(scfg: dict) -> dict:
-    if scfg["name"] not in _SOLVER_KEYS:
-        raise ConfigError(f"unknown solver: {scfg['name']!r}")
-    return _parse_keys(scfg, "name", _SOLVER_KEYS[scfg["name"]])
+# --- solvers ------------------------------------------------------------------
+# A builder takes an entry's name, problem family ("logreg", "poisson", or None
+# before a dataset file names it) and parsed options, and returns the entry's
+# run(base, problem, x0, stop); a value out of range or a setting the family
+# cannot run raises ValueError.
+
+_BACKTRACK_KEYS = {"eta": _json_float, "T1": _json_int, "rho": _json_float,
+                   "L_floor": _json_float, "L_init": _json_float,
+                   "max_inner": _json_int, "deflate_when_divisible": _json_bool}
 
 
-def _check_solver(name: str, overrides: dict, family: Optional[str],
-                  role: str = "solver") -> None:
-    """Build the settings a run of ``name`` builds on a problem of ``family``
-    ("logreg" or "poisson"; None when not known yet, which checks what
-    either family needs), so that an out-of-range value or a setting the
-    family cannot run is a ConfigError naming the solver before any run
-    starts."""
+def _profile(name: str, base_kind: str, overrides: dict) -> SolverConfig:
+    """Line-search profile ``name`` for the problem family; ``overrides``
+    are parsed and replace the family defaults."""
+    scaled = name in ("spdcae1", "spdcae0")
+    monotone = name in ("spdcae0", "pdcae0")
+    bt = {"mode": "monotone" if monotone else "nonmonotone"}
+    if base_kind == "logreg":
+        cfg = {"metric": "adagrad" if scaled else "identity"}
+        bt.update(eta=2.0, L_init=1.0 if scaled else 0.1, max_inner=100)
+    else:
+        cfg = {"metric": "split-gradient" if scaled else "identity"}
+        # monotone profiles may need ~1e8 inflation on the first iteration
+        bt.update(eta=1.2 if monotone else 2.0, L_init=0.1 if scaled else 1e-5,
+                  max_inner=200)
+    for key, value in overrides.items():
+        (bt if key in _BACKTRACK_KEYS else cfg)[key] = value
+    return SolverConfig(backtrack=BacktrackConfig(**bt), **cfg)
+
+
+def _line_search_solver(name: str, family: Optional[str], options: dict):
+    # either family's defaults are in range, so a family not known yet is
+    # checked with the logistic ones
+    config = _profile(name, family or "logreg", options)
+    if config.metric == "split-gradient" and family == "logreg":
+        # only the Poisson builder provides a gradient split
+        raise ValueError("the split-gradient metric needs a Poisson problem")
+    return lambda base, problem, x0, stop: spdcae_run(problem, config, stop, x0=x0)
+
+
+def _fixed_L(family: Optional[str], options: dict) -> Optional[float]:
+    """The entry's 'L'; None stands for the logistic curvature bound, which
+    the Poisson family has no counterpart of."""
+    L = options.get("L")
+    if L is None and family == "poisson":
+        raise ValueError("fixed-step solvers need an explicit 'L' on a Poisson problem")
+    if L is not None and L <= 0.0:
+        raise ValueError("fixed curvature constant L must be positive")
+    return L
+
+
+def _pdcae_solver(name: str, family: Optional[str], options: dict):
+    L = _fixed_L(family, options)
+    schedule = BetaSchedule(family=options.get("beta_family", "fixed-adaptive-restart"),
+                            T2=options.get("T2", 200))
+    return lambda base, problem, x0, stop: pdcae_run(problem, L or base.L_bound,
+                                                     schedule, stop, x0=x0)
+
+
+def _adca_solver(name: str, family: Optional[str], options: dict):
+    L = _fixed_L(family, options)
+    q = options.get("q", 3)
+    if q < 0:
+        raise ValueError("history depth q must be nonnegative")
+    return lambda base, problem, x0, stop: adca_run(problem, L or base.L_bound,
+                                                    q, stop, x0=x0)
+
+
+# Solver name -> ({key: parser}, builder); a line-search profile takes the
+# BacktrackConfig fields in _BACKTRACK_KEYS and the SolverConfig fields.
+_SOLVERS = {
+    **dict.fromkeys(("spdcae1", "spdcae0", "pdcae1", "pdcae0"), ({
+        **_BACKTRACK_KEYS, "beta_family": str, "delta": _json_float,
+        "T2": _json_int, "legacy_restart_divisibility": _json_bool,
+        "metric": str, "epsilon": _json_float,
+        "clamp_numerator": _json_float}, _line_search_solver)),
+    "pdcae": ({"L": _json_float, "beta_family": str, "T2": _json_int},
+              _pdcae_solver),
+    "adca": ({"L": _json_float, "q": _json_int}, _adca_solver),
+}
+
+
+def _solver_options(scfg: dict, role: str = "solver") -> dict:
+    if scfg["name"] not in _SOLVERS:
+        raise ConfigError(f"unknown {role}: {scfg['name']!r}")
+    return _parse_keys(scfg, "name", _SOLVERS[scfg["name"]][0])
+
+
+def _build_solver(scfg: dict, family: Optional[str], role: str = "solver"):
+    """The run of solver entry ``scfg`` on a problem of ``family``; any
+    setting the builder rejects is a ConfigError naming the solver."""
+    options = _solver_options(scfg, role)
+    name = scfg["name"]
     try:
-        if name in _LINE_SEARCH_SOLVERS:
-            # either family's defaults are in range, so a family not known
-            # yet is checked with the logistic ones
-            config = _profile(name, family or "logreg", overrides)
-            if config.metric == "split-gradient" and family == "logreg":
-                # only the Poisson builder provides a gradient split
-                raise ValueError("the split-gradient metric needs a Poisson problem")
-        elif name == "pdcae":
-            _fixed_schedule(overrides)
-        if overrides.get("L", 1.0) <= 0.0:
-            raise ValueError("fixed curvature constant L must be positive")
-        if overrides.get("q", 0) < 0:
-            raise ValueError("history depth q must be nonnegative")
-        if name in ("pdcae", "adca") and "L" not in overrides \
-                and family == "poisson":
-            # only the logistic family has a curvature bound to default to
-            raise ValueError("fixed-step solvers need an explicit 'L' "
-                             "on a Poisson problem")
+        return _SOLVERS[name][1](name, family, options)
     except ValueError as exc:
         raise ConfigError(f"{role} {name!r}: {exc}") from None
 
 
-def _check_solvers(config: "RunConfig", family: Optional[str]) -> None:
-    """``_check_solver`` on every solver entry and on the reference solver
-    (which runs with its defaults) for a problem of ``family``."""
-    for s in config.solvers:
-        _check_solver(s["name"], _solver_options(s), family)
-    _check_solver(config.reference_solver, {}, family, role="reference solver")
+def _build_solvers(config: "RunConfig", family: Optional[str]):
+    """(name, run) of every solver entry, and the run of the reference
+    solver (which runs with its defaults), on a problem of ``family``."""
+    runs = [(s["name"], _build_solver(s, family)) for s in config.solvers]
+    return runs, _build_solver({"name": config.reference_solver}, family,
+                               "reference solver")
 
 
 @dataclass
@@ -202,7 +249,7 @@ class RunConfig:
         for s in self.solvers:
             if not isinstance(s, dict) or "name" not in s:
                 raise ConfigError("each solver entry needs a 'name'")
-        _check_solvers(self, _KIND_FAMILY[self.problem["kind"]])
+        _build_solvers(self, _KIND_FAMILY[self.problem["kind"]])
         for name in ("max_iter", "reference_iterations", "reference_seed"):
             _parsed(getattr(self, name), _json_int, repr(name))
         for seed in self.seeds:
@@ -217,8 +264,6 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if self.max_iter < 1 or self.reference_iterations < 0:
             raise ConfigError("iteration budgets must be positive")
-        if self.reference_solver not in _SOLVER_KEYS:
-            raise ConfigError(f"unknown reference solver: {self.reference_solver!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -260,39 +305,52 @@ class _Base:
     data: object
     truth: Optional[Array]
     problem: Optional[DcProblem]  # shared instance when seeds share the data
-    L_hint: Optional[float] = None
+
+    @cached_property
+    def L_bound(self) -> float:
+        """Logistic curvature bound, the fixed-step solvers' default 'L'."""
+        return logistic_lipschitz_bound(self.data)
 
 
-def _checked_base(config: RunConfig) -> _Base:
-    """The configured problem family, with every solver checked against it
-    before any solve (a dataset file's family is known only now)."""
+def _setup(config: RunConfig):
+    """The configured problem family, the (name, run) of every solver entry
+    and the reference run, all built before any solve (a dataset file's
+    family is known only once the file is loaded)."""
     base = _build_base(config.problem)
-    _check_solvers(config, base.kind)
-    return base
+    return (base, *_build_solvers(config, base.kind))
 
 
 def _build_base(pcfg: dict) -> _Base:
+    """The problem family of ``pcfg``.  A value its generator or reader
+    rejects, a file it cannot read and a dataset file without a field it
+    needs are each a ConfigError naming the kind."""
     kind = pcfg["kind"]
     p = _problem_options(pcfg)
-    if kind == "logreg-synthetic":
-        data, w = gen_logreg(p["m"], p["n"],
-                             sparsity_of_truth=p["sparsity_of_truth"],
-                             noise_rate=p["noise_rate"], rng=p["data_seed"],
-                             lam=p["lambda"], scale_decades=p["scale_decades"])
-        return _Base("logreg", data, w, build_logreg_problem(data))
-    if kind == "poisson-synthetic":
-        data, x_true = gen_poisson_cs(n=p["n"], m=p["m"], k_nonzeros=p["k_nonzeros"],
-                                      amp_max=p["amp_max"], p=p["p"], bg=p["bg"],
-                                      rng=p["data_seed"], lam=p["lambda"])
-        return _Base("poisson", data, x_true, None)
-    if kind == "logreg-file":
-        A, labels = read_libsvm(p["path"], n_features=p["n_features"])
-        data = LogRegData(A=A, b=labels, lam=p["lambda"])
-        return _Base("logreg", data, None, build_logreg_problem(data))
-    stored_kind, data, truth, _ = load_dataset_json(p["path"])
-    if stored_kind == "logreg":
-        return _Base("logreg", data, truth, build_logreg_problem(data))
-    return _Base("poisson", data, truth, None)
+    try:
+        if kind == "logreg-synthetic":
+            data, w = gen_logreg(p["m"], p["n"],
+                                 sparsity_of_truth=p["sparsity_of_truth"],
+                                 noise_rate=p["noise_rate"], rng=p["data_seed"],
+                                 lam=p["lambda"], scale_decades=p["scale_decades"])
+            return _Base("logreg", data, w, build_logreg_problem(data))
+        if kind == "poisson-synthetic":
+            data, x_true = gen_poisson_cs(n=p["n"], m=p["m"],
+                                          k_nonzeros=p["k_nonzeros"],
+                                          amp_max=p["amp_max"], p=p["p"], bg=p["bg"],
+                                          rng=p["data_seed"], lam=p["lambda"])
+            return _Base("poisson", data, x_true, None)
+        if kind == "logreg-file":
+            A, labels = read_libsvm(p["path"], n_features=p["n_features"])
+            data = LogRegData(A=A, b=labels, lam=p["lambda"])
+            return _Base("logreg", data, None, build_logreg_problem(data))
+        stored_kind, data, truth, _ = load_dataset_json(p["path"])
+        if stored_kind == "logreg":
+            return _Base("logreg", data, truth, build_logreg_problem(data))
+        return _Base("poisson", data, truth, None)
+    except KeyError as exc:
+        raise ConfigError(f"problem kind {kind!r}: missing field {exc}") from None
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"problem kind {kind!r}: {exc}") from None
 
 
 def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
@@ -309,57 +367,6 @@ def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
     return build_poisson_problem(data_s), np.ones(base.data.n)
 
 
-# --- solver profiles ----------------------------------------------------------
-
-def _fixed_L(base: _Base, overrides: dict) -> float:
-    """The entry's 'L', or the logistic curvature bound (``_check_solver``
-    has made sure that an entry on any other family carries an 'L')."""
-    if "L" in overrides:
-        return overrides["L"]
-    if base.L_hint is None:
-        base.L_hint = logistic_lipschitz_bound(base.data)
-    return base.L_hint
-
-
-def _profile(name: str, base_kind: str, overrides: dict) -> SolverConfig:
-    """Line-search profile ``name`` for the problem family; ``overrides``
-    are parsed and replace the family defaults."""
-    scaled = name in ("spdcae1", "spdcae0")
-    monotone = name in ("spdcae0", "pdcae0")
-    bt = {"mode": "monotone" if monotone else "nonmonotone"}
-    if base_kind == "logreg":
-        cfg = {"metric": "adagrad" if scaled else "identity"}
-        bt.update(eta=2.0, L_init=1.0 if scaled else 0.1, max_inner=100)
-    else:
-        cfg = {"metric": "split-gradient" if scaled else "identity"}
-        # monotone profiles may need ~1e8 inflation on the first iteration
-        bt.update(eta=1.2 if monotone else 2.0, L_init=0.1 if scaled else 1e-5,
-                  max_inner=200)
-    for key, value in overrides.items():
-        (bt if key in _BACKTRACK_KEYS else cfg)[key] = value
-    return SolverConfig(backtrack=BacktrackConfig(**bt), **cfg)
-
-
-def _fixed_schedule(overrides: dict) -> BetaSchedule:
-    return BetaSchedule(family=overrides.get("beta_family", "fixed-adaptive-restart"),
-                        T2=overrides.get("T2", 200))
-
-
-def _run_cell(name: str, overrides: dict, base: _Base, problem: DcProblem,
-              x0: Array, stop: StoppingRule) -> RunResult:
-    """One run of solver ``name`` with its parsed ``overrides``."""
-    if name in _LINE_SEARCH_SOLVERS:
-        return spdcae_run(problem, _profile(name, base.kind, overrides),
-                          stop, x0=x0)
-    if name == "pdcae":
-        return pdcae_run(problem, _fixed_L(base, overrides),
-                         _fixed_schedule(overrides), stop, x0=x0)
-    if name == "adca":
-        return adca_run(problem, _fixed_L(base, overrides),
-                        overrides.get("q", 3), stop, x0=x0)
-    raise ConfigError(f"unknown solver: {name!r}")
-
-
 # --- reference values and the matrix -----------------------------------------
 
 # The reference stops after this many accepted iterations without a new
@@ -367,13 +374,13 @@ def _run_cell(name: str, overrides: dict, base: _Base, problem: DcProblem,
 _REFERENCE_STALL_ITERS = 200
 
 
-def _reference_value(config: RunConfig, base: _Base, problem: DcProblem,
-                     x0: Array) -> Tuple[float, int, str]:
-    """(value, iterations, stop reason) of the reference run from ``x0``;
-    the value is the objective of its last accepted iterate."""
+def _reference_value(config: RunConfig, reference, base: _Base,
+                     problem: DcProblem, x0: Array) -> Tuple[float, int, str]:
+    """(value, iterations, stop reason) of the ``reference`` run from
+    ``x0``; the value is the objective of its last accepted iterate."""
     stop = StoppingRule(max_iter=config.reference_iterations,
                         stall_iters=_REFERENCE_STALL_ITERS)
-    result = _run_cell(config.reference_solver, {}, base, problem, x0, stop)
+    result = reference(base, problem, x0, stop)
     value = result.F_final if result.trace else objective(problem, x0)
     return value, result.n_iterations, result.stop_reason
 
@@ -386,13 +393,9 @@ def solve_reference(config: RunConfig) -> Tuple[float, int, str]:
     reference seed; Poisson references use the reference seed's count
     realization.  Deterministic for a fixed configuration.
     """
-    base = _checked_base(config)
-    return _reference_value(config, base, *_instance(base, config.reference_seed))
-
-
-def run_reference(config: RunConfig) -> float:
-    """Final objective of the reference solver; see ``solve_reference``."""
-    return solve_reference(config)[0]
+    base, _, reference = _setup(config)
+    return _reference_value(config, reference, base,
+                            *_instance(base, config.reference_seed))
 
 
 def _first_hits(trace: List[TraceRecord], tolerances: List[float]):
@@ -429,10 +432,11 @@ def run_matrix(config: RunConfig) -> BenchResult:
     When ``config.out_dir`` is set, writes one trace CSV per cell plus
     ``summary.csv`` and ``summary.json``.
     """
-    base = _checked_base(config)
+    base, solvers, reference = _setup(config)
     shared_ref: Optional[Tuple[float, int, str]] = None
     if base.kind == "logreg":
-        shared_ref = _reference_value(config, base, *_instance(base, config.reference_seed))
+        shared_ref = _reference_value(config, reference, base,
+                                      *_instance(base, config.reference_seed))
 
     runs: Dict[Tuple[str, int], RunResult] = {}
     references: Dict[int, float] = {}
@@ -446,15 +450,14 @@ def run_matrix(config: RunConfig) -> BenchResult:
             f_star, n_ref, ref_stop = shared_ref
         else:
             # each count realization is its own instance; reference per seed
-            f_star, n_ref, ref_stop = _reference_value(config, base, problem,
-                                                       np.ones(base.data.n))
+            f_star, n_ref, ref_stop = _reference_value(config, reference, base,
+                                                       problem, np.ones(base.data.n))
         references[seed] = f_star
         reference_stops[seed] = (n_ref, ref_stop)
         stop = StoppingRule(max_iter=config.max_iter, ref_value=f_star,
                             rel_tol=tightest)
-        for scfg in config.solvers:
-            name = scfg["name"]
-            result = _run_cell(name, _solver_options(scfg), base, problem, x0, stop)
+        for name, run in solvers:
+            result = run(base, problem, x0, stop)
             runs[(name, seed)] = result
             hits[(name, seed)] = _first_hits(result.trace, config.tolerances)
 

@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
-from .bench import (ConfigError, RunConfig, read_summary_csv, read_trace_csv,
-                    run_matrix, solve_reference)
-from .datasets import gen_logreg, gen_poisson_cs, save_dataset_json
+from .bench import (ConfigError, RunConfig, _build_base, _problem_options,
+                    read_summary_csv, read_trace_csv, run_matrix,
+                    solve_reference)
+from .datasets import save_dataset_json
 from .linesearch import LineSearchError
 
 
@@ -27,26 +28,27 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="difference-of-convex proximal solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic dataset")
+    # a flag's dest is its problem key; a flag not given is absent, so the key
+    # takes its default from bench._PROBLEM_KEYS
+    gen = sub.add_parser("gen", help="generate a synthetic dataset",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--kind", required=True,
                      choices=["logreg-synthetic", "poisson-synthetic"])
-    gen.add_argument("--m", type=int, required=True, help="number of rows")
-    gen.add_argument("--n", type=int, required=True, help="number of columns")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    gen.add_argument("--sparsity", type=float, default=0.1,
+    gen.add_argument("--m", type=int, help="number of rows")
+    gen.add_argument("--n", type=int, help="number of columns")
+    gen.add_argument("--seed", dest="data_seed", type=int)
+    gen.add_argument("--lambda", type=float)
+    gen.add_argument("--sparsity", dest="sparsity_of_truth", type=float,
                      help="support fraction of the planted vector")
-    gen.add_argument("--noise-rate", type=float, default=0.05,
+    gen.add_argument("--noise-rate", type=float,
                      help="label flip probability (logistic only)")
-    gen.add_argument("--scale-decades", type=float, default=2.0,
+    gen.add_argument("--scale-decades", type=float,
                      help="column scale spread in decades (logistic only)")
-    gen.add_argument("--k-nonzeros", type=int, default=20,
-                     help="spike count (poisson only)")
-    gen.add_argument("--amp-max", type=float, default=1e5)
-    gen.add_argument("--p", type=float, default=0.9,
-                     help="sensing matrix density (poisson only)")
-    gen.add_argument("--bg", type=float, default=1e-10)
+    gen.add_argument("--k-nonzeros", type=int, help="spike count (poisson only)")
+    gen.add_argument("--amp-max", type=float)
+    gen.add_argument("--p", type=float, help="sensing matrix density (poisson only)")
+    gen.add_argument("--bg", type=float)
     gen.set_defaults(func=_cmd_gen)
 
     ref = sub.add_parser("ref", help="compute the reference objective value")
@@ -94,25 +96,15 @@ def _load_config(path, args=None) -> RunConfig:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "logreg-synthetic":
-        data, truth = gen_logreg(args.m, args.n,
-                                 sparsity_of_truth=args.sparsity,
-                                 noise_rate=args.noise_rate, rng=args.seed,
-                                 lam=args.lam, scale_decades=args.scale_decades)
-        params = {"m": args.m, "n": args.n, "seed": args.seed,
-                  "sparsity_of_truth": args.sparsity,
-                  "noise_rate": args.noise_rate,
-                  "scale_decades": args.scale_decades}
-        save_dataset_json(args.out, "logreg", data, truth, params)
-    else:
-        data, truth = gen_poisson_cs(n=args.n, m=args.m,
-                                     k_nonzeros=args.k_nonzeros,
-                                     amp_max=args.amp_max, p=args.p,
-                                     bg=args.bg, rng=args.seed, lam=args.lam)
-        params = {"m": args.m, "n": args.n, "seed": args.seed,
-                  "k_nonzeros": args.k_nonzeros, "amp_max": args.amp_max,
-                  "p": args.p}
-        save_dataset_json(args.out, "poisson-cs", data, truth, params)
+    pcfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    base = _build_base(pcfg)
+    p = _problem_options(pcfg)
+    # the file keeps lambda and bg in the data record and the data seed as "seed"
+    params = {"m": p["m"], "n": p["n"], "seed": p["data_seed"],
+              **{k: v for k, v in p.items()
+                 if k not in ("m", "n", "data_seed", "lambda", "bg")}}
+    save_dataset_json(args.out, "logreg" if base.kind == "logreg" else "poisson-cs",
+                      base.data, base.truth, params)
     print(f"wrote {args.kind} dataset to {args.out}")
     return 0
 

@@ -84,11 +84,6 @@ def logistic_smooth(data: LogRegData) -> SmoothOracle:
     return linear_composite(A, value_at, value_grad_at, grad_at)
 
 
-def logistic_value_grad(data: LogRegData, x: Array) -> tuple[float, Array]:
-    """Averaged logistic loss and its gradient at x, from one forward product."""
-    return logistic_smooth(data).value_grad(x)
-
-
 def l1_scaled_prox(v: Array, t: float, lam: float,
                    D: DiagonalMetric | None = None) -> Array:
     """Soft threshold with per-coordinate level t*lam/D_i.

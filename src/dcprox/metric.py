@@ -64,34 +64,6 @@ def _clamp_band(values: Array, k: int, clamp_numerator: float) -> Array:
     return np.maximum(1.0 / g, np.minimum(g, values))
 
 
-def split_gradient_metric(k: int, y_k: Array, V: Array, clamp_numerator: float) -> DiagonalMetric:
-    """Inverse clamped ratio diag(clamp(y/V))^{-1}.
-
-    V must be strictly positive.  The clamp applies to the ratio y/V first and
-    the inversion to the clamped value, so zero coordinates of y land exactly
-    on the upper diagonal bound gamma_k.
-    """
-    y_k = np.asarray(y_k, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if y_k.shape != V.shape:
-        raise ValueError("y and V must have matching shapes")
-    if np.any(V <= 0.0):
-        raise ValueError("split denominator must be strictly positive")
-    return _inverse_clamped_ratio(k, y_k, V, clamp_numerator)
-
-
-def _inverse_clamped_ratio(k: int, y: Array, V: Array,
-                           clamp_numerator: float) -> DiagonalMetric:
-    return DiagonalMetric(1.0 / _clamp_band(y / V, k, clamp_numerator))
-
-
-def check_schedule_growth(D_prev: DiagonalMetric, D_next: DiagonalMetric, eta_k: float) -> bool:
-    """Componentwise test D_next <= (1 + eta_k) * D_prev."""
-    if D_prev.n != D_next.n:
-        raise ValueError("metric dimensions do not match")
-    return bool(np.all(D_next.diag <= (1.0 + eta_k) * D_prev.diag))
-
-
 def growth_factor(D_prev: DiagonalMetric, D_next: DiagonalMetric) -> float:
     """A-posteriori growth eta_k = max(0, max_i D_next_i/D_prev_i - 1)."""
     if D_prev.n != D_next.n:
@@ -141,7 +113,10 @@ class AdaGradMetricProvider:
 class SplitGradientMetricProvider:
     """Diagonal from the positive split of the gradient at the trial point.
 
-    ``V`` is the strictly positive split denominator; the gradient split
+    The metric at y is the inverse clamped ratio diag(clamp(y/V))^{-1}: the
+    clamp applies to the ratio first and the inversion to the clamped value,
+    so zero coordinates of y land exactly on the upper bound gamma_k.  ``V``
+    is the strictly positive split denominator; the gradient split
     -grad f = U - V it comes from has a constant V.  ``V`` is checked once,
     here, and each trial checks only the shape of its point; the metric it
     builds is validated as every ``DiagonalMetric`` is (the clamp band
@@ -160,7 +135,7 @@ class SplitGradientMetricProvider:
     def trial(self, k: int, y: Array, grad_y: Array) -> DiagonalMetric:
         if y.shape != self.V.shape:
             raise ValueError("y and V must have matching shapes")
-        return _inverse_clamped_ratio(k, y, self.V, self.clamp_numerator)
+        return DiagonalMetric(1.0 / _clamp_band(y / self.V, k, self.clamp_numerator))
 
     def accept(self, k: int, grad_y: Array) -> None:
         pass

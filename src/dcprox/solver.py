@@ -327,22 +327,24 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
     """Fixed-step identity-metric baseline with restarted weights.
 
     Equivalent to the general loop with a constant step 1/L_fixed and no line
-    search, where the theta recursion is the classical one.  Violations of
-    the descent bound at the fixed step are reported once as a
+    search, where the theta recursion is the classical one.  Every run
+    starts from the settings of ``restart_config`` with fresh weight state
+    (theta = 1, t_prev = 0) and leaves the caller's schedule unchanged.
+    Violations of the descent bound at the fixed step are reported once as a
     RuntimeWarning (the constant was under-estimated), not errors.
     """
     x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "pdcae_run")
-    if restart_config is None:
-        restart_config = BetaSchedule()
+    schedule = dataclasses.replace(restart_config or BetaSchedule(),
+                                   theta=1.0, t_prev=0.0)
 
     def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
         h = problem.h.subgrad(x_prev)
-        beta, theta = restart_config.propose(t)
+        beta, theta = schedule.propose(t)
         y, f_y, grad_y = extrapolate(problem, state, beta)
         s = prox_step(state.k, y, h, f_y, grad_y, beta, theta)
-        restart_config.commit(theta, t)
-        s.restarted = restart_config.finish_iteration(state.k, s.x, x_prev, y)
+        schedule.commit(theta, t)
+        s.restarted = schedule.finish_iteration(state.k, s.x, x_prev, y)
         return s
 
     return _drive(problem, stop, x0, step, keep_states)

@@ -12,7 +12,7 @@ from dcprox import bench
 from dcprox.bench import (_REFERENCE_STALL_ITERS, BenchResult, ConfigError,
                           RunConfig, _build_base, _first_hits, _instance,
                           _profile, read_summary_csv, read_trace_csv,
-                          run_matrix, run_reference, solve_reference,
+                          run_matrix, solve_reference,
                           write_trace_csv)
 from dcprox.datasets import save_dataset_json
 from dcprox.solver import StoppingRule, TraceRecord, spdcae_run
@@ -184,7 +184,7 @@ def test_dataset_file_checks_solvers_before_first_solve(tmp_path, no_solves,
     save_dataset_json(path, "logreg" if base.kind == "logreg" else "poisson-cs",
                       base.data, base.truth)
     problem = {"kind": "dataset-json", "path": str(path)}
-    assert bench._checked_base(RunConfig.from_dict(make_cfg(problem=problem))).kind \
+    assert bench._setup(RunConfig.from_dict(make_cfg(problem=problem)))[0].kind \
         == base.kind
     cfg = RunConfig.from_dict(make_cfg(problem=problem, out_dir=str(tmp_path / "out"),
                                        **over))
@@ -298,12 +298,27 @@ def test_matrix_is_deterministic_modulo_timing():
         assert a.hit_rate == b.hit_rate
 
 
+def test_solver_entries_are_parsed_once_per_check_and_per_matrix_run(monkeypatch):
+    calls = []
+    parse = bench._solver_options
+
+    def counted(scfg, *args):
+        calls.append(scfg["name"])
+        return parse(scfg, *args)
+    monkeypatch.setattr(bench, "_solver_options", counted)
+    cfg = RunConfig.from_dict(_logreg_cfg(max_iter=5, reference_iterations=5))
+    entries = ["spdcae1", "pdcae1", "pdcae1"]  # the two entries and the reference
+    assert calls == entries
+    run_matrix(cfg)  # two seeds: the runs are built once and reused
+    assert calls == entries * 2
+
+
 def test_logreg_seeds_share_reference():
     cfg = RunConfig.from_dict(_logreg_cfg())
     result = run_matrix(cfg)
     vals = set(result.references.values())
     assert len(vals) == 1
-    assert run_reference(cfg) == vals.pop()
+    assert solve_reference(cfg)[0] == vals.pop()
 
 
 def test_poisson_seeds_get_their_own_references():
@@ -319,7 +334,7 @@ def test_reference_stops_on_stall_near_capped_value(make_cfg):
     value, n_iter, reason = solve_reference(cfg)
     assert reason == "stalled"
     assert _REFERENCE_STALL_ITERS < n_iter < cfg.reference_iterations
-    assert run_reference(cfg) == value
+    assert solve_reference(cfg)[0] == value
     # the same profile run to the cap, without the stall clause
     base = _build_base(cfg.problem)
     problem, x0 = _instance(base, cfg.reference_seed)
@@ -335,9 +350,9 @@ def test_reference_stops_on_stall_near_capped_value(make_cfg):
 
 def test_zero_iteration_reference_is_start_value():
     cfg = RunConfig.from_dict(_logreg_cfg(reference_iterations=0))
-    val = run_reference(cfg)
+    val = solve_reference(cfg)[0]
     assert np.isfinite(val)
-    full = run_reference(RunConfig.from_dict(_logreg_cfg()))
+    full = solve_reference(RunConfig.from_dict(_logreg_cfg()))[0]
     assert val > full  # the start point is far from optimal
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -235,7 +236,8 @@ def test_bad_solver_or_number_is_config_error(tmp_path, capsys, over, named):
 
 _FAMILY_PROBLEMS = {
     "logreg": ({"kind": "logreg-synthetic", "m": 40, "n": 8, "lambda": 0.01},
-               ["--kind", "logreg-synthetic", "--m", "40", "--n", "8"]),
+               ["--kind", "logreg-synthetic", "--m", "40", "--n", "8",
+                "--lambda", "0.01"]),
     "poisson": ({"kind": "poisson-synthetic", "n": 25, "m": 10, "k_nonzeros": 3,
                  "amp_max": 100.0},
                 ["--kind", "poisson-synthetic", "--m", "10", "--n", "25",
@@ -261,6 +263,84 @@ def test_solver_the_family_cannot_run_is_config_error(tmp_path, capsys, no_solve
     out = capsys.readouterr()
     assert named in out.err and out.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", ["logreg", "poisson"])
+def test_gen_then_bench_matches_the_synthetic_config(tmp_path, capsys, family):
+    # gen and the bench build a problem from one table, so a dataset file
+    # written by gen benchmarks exactly as its synthetic config does
+    problem, gen_args = _FAMILY_PROBLEMS[family]
+    data = tmp_path / "data.json"
+    assert main(["gen", *gen_args, "--out", str(data)]) == 0
+    outputs = {}
+    for source, pcfg in (("synthetic", problem),
+                         ("dataset-json", {"kind": "dataset-json", "path": str(data)})):
+        cfg = _write_config(tmp_path / f"{source}.json", problem=pcfg)
+        out_dir = tmp_path / source
+        assert main(["bench", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert main(["check", "--trace", str(out_dir / "trace_spdcae1_0.csv"),
+                     "--summary", str(out_dir / "summary.csv")]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        for row in summary["summary"]:
+            row.pop("mean_seconds")
+        trace = [dataclasses.replace(rec, wall_clock_seconds=0.0)
+                 for rec in read_trace_csv(out_dir / "trace_spdcae1_0.csv")]
+        outputs[source] = (summary, trace)
+    assert outputs["dataset-json"] == outputs["synthetic"]
+    assert any(row["mean_iterations"] is not None
+               for row in outputs["synthetic"][0]["summary"])
+
+
+def _assert_problem_error(capsys, rc, kind, out_path):
+    out = capsys.readouterr()
+    assert rc == 2
+    assert f"problem kind '{kind}'" in out.err or f"for kind '{kind}'" in out.err
+    assert out.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("args, kind", [
+    (["--kind", "poisson-synthetic", "--m", "5", "--n", "10"], "poisson-synthetic"),
+    (["--kind", "poisson-synthetic", "--m", "5", "--n", "30", "--bg", "nan"],
+     "poisson-synthetic"),
+    (["--kind", "logreg-synthetic", "--m", "5", "--n", "10", "--lambda", "-1"],
+     "logreg-synthetic"),
+    (["--kind", "poisson-synthetic", "--m", "5", "--n", "30", "--noise-rate", "0.3"],
+     "poisson-synthetic"),
+], ids=["k-nonzeros-above-n", "nan-background", "negative-lambda",
+        "flag-of-the-other-kind"])
+def test_gen_value_the_generator_rejects_exits_2(tmp_path, capsys, args, kind):
+    out = tmp_path / "data.json"
+    _assert_problem_error(capsys, main(["gen", *args, "--out", str(out)]), kind, out)
+
+
+def _bad_problems(tmp_path):
+    bad_label = tmp_path / "bad_label.svm"
+    bad_label.write_text("+1 1:0.5\nx 2:1.0\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    return {
+        "poisson-n-below-k-nonzeros": {"kind": "poisson-synthetic", "n": 10, "m": 5},
+        "negative-lambda": {"kind": "logreg-synthetic", "m": 40, "n": 8,
+                            "lambda": -1},
+        "missing-libsvm-file": {"kind": "logreg-file",
+                                "path": str(tmp_path / "nope.svm")},
+        "bad-libsvm-label": {"kind": "logreg-file", "path": str(bad_label)},
+        "empty-dataset-json": {"kind": "dataset-json", "path": str(empty)},
+    }
+
+
+@pytest.mark.parametrize("command", ["bench", "ref"])
+@pytest.mark.parametrize("case", ["poisson-n-below-k-nonzeros", "negative-lambda",
+                                  "missing-libsvm-file", "bad-libsvm-label",
+                                  "empty-dataset-json"])
+def test_problem_the_builder_rejects_exits_2(tmp_path, capsys, no_solves, command,
+                                             case):
+    problem = _bad_problems(tmp_path)[case]
+    cfg = _write_config(tmp_path / "cfg.json", problem=problem)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    _assert_problem_error(capsys, rc, problem["kind"], out)
 
 
 def test_unknown_subcommand_exits_2(capsys):

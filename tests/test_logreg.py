@@ -6,17 +6,18 @@ from conftest import finite_diff_grad, golden_section
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave, l2_subgradient,
-                           logistic_lipschitz_bound, logistic_value_grad)
+                           logistic_lipschitz_bound)
 from dcprox.metric import DiagonalMetric
 from dcprox.poisson import build_poisson_problem
 from dcprox.problem import least_squares_smooth, objective, quadratic_smooth
 
 
 def test_single_point_values():
-    data = LogRegData(A=np.array([[1.0]]), b=np.array([1.0]), lam=1e-3)
-    v, g = logistic_value_grad(data, np.array([10.0]))
+    f = build_logreg_problem(LogRegData(A=np.array([[1.0]]), b=np.array([1.0]),
+                                        lam=1e-3)).f
+    v, g = f.value_grad(np.array([10.0]))
     assert v == pytest.approx(4.539889921686465e-05, rel=1e-14)
-    v0, g0 = logistic_value_grad(data, np.array([0.0]))
+    v0, g0 = f.value_grad(np.array([0.0]))
     assert v0 == pytest.approx(0.6931471805599453, rel=1e-15)
     assert g0 == pytest.approx(np.array([-0.5]), rel=1e-15)
 
@@ -24,26 +25,28 @@ def test_single_point_values():
 def test_value_is_mean_over_rows():
     A = np.array([[1.0], [1.0]])
     data = LogRegData(A=A, b=np.array([1.0, -1.0]), lam=1e-3)
-    v, _ = logistic_value_grad(data, np.array([0.0]))
+    v, _ = build_logreg_problem(data).f.value_grad(np.array([0.0]))
     assert v == pytest.approx(np.log(2.0), rel=1e-15)
 
 
 def test_no_overflow_at_extreme_margins():
-    data = LogRegData(A=np.array([[1.0]]), b=np.array([1.0]), lam=1e-3)
-    v, g = logistic_value_grad(data, np.array([-1000.0]))
+    f = build_logreg_problem(LogRegData(A=np.array([[1.0]]), b=np.array([1.0]),
+                                        lam=1e-3)).f
+    v, g = f.value_grad(np.array([-1000.0]))
     assert v == pytest.approx(1000.0, rel=1e-12)
     assert np.isfinite(g).all()
-    v2, _ = logistic_value_grad(data, np.array([1000.0]))
+    v2, _ = f.value_grad(np.array([1000.0]))
     assert v2 == 0.0
 
 
 def test_gradient_matches_finite_differences():
     data, _ = gen_logreg(30, 8, rng=7)
+    f = build_logreg_problem(data).f
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.standard_normal(8)
-        _, g = logistic_value_grad(data, x)
-        fd = finite_diff_grad(lambda z: logistic_value_grad(data, z)[0], x)
+        _, g = f.value_grad(x)
+        fd = finite_diff_grad(lambda z: f.value_grad(z)[0], x)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -51,8 +54,8 @@ def test_sparse_matches_dense():
     data, _ = gen_logreg(25, 6, rng=1)
     sdata = LogRegData(A=sp.csr_matrix(data.A), b=data.b, lam=data.lam)
     x = np.random.default_rng(2).standard_normal(6)
-    v1, g1 = logistic_value_grad(data, x)
-    v2, g2 = logistic_value_grad(sdata, x)
+    v1, g1 = build_logreg_problem(data).f.value_grad(x)
+    v2, g2 = build_logreg_problem(sdata).f.value_grad(x)
     assert v1 == pytest.approx(v2, rel=1e-14)
     assert np.allclose(g1, g2, rtol=1e-14)
 
@@ -154,12 +157,13 @@ def test_lipschitz_bound_matches_eigensolver():
 def test_descent_bound_never_violated_at_lipschitz_constant():
     data, _ = gen_logreg(30, 10, rng=9)
     L = logistic_lipschitz_bound(data)
+    f = build_logreg_problem(data).f
     rng = np.random.default_rng(4)
     for _ in range(200):
         x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
         y = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
-        fx, _ = logistic_value_grad(data, x)
-        fy, gy = logistic_value_grad(data, y)
+        fx, _ = f.value_grad(x)
+        fy, gy = f.value_grad(y)
         bound = fy + gy @ (x - y) + 0.5 * L * np.sum((x - y) ** 2)
         assert fx <= bound + 1e-12 * max(1.0, abs(fy))
 
@@ -168,7 +172,7 @@ def test_problem_assembly():
     data, _ = gen_logreg(20, 6, rng=0)
     prob = build_logreg_problem(data)
     x = np.random.default_rng(1).standard_normal(6)
-    v, _ = logistic_value_grad(data, x)
+    v, _ = prob.f.value_grad(x)
     want = v + data.lam * np.abs(x).sum() - data.lam * np.linalg.norm(x)
     assert objective(prob, x) == pytest.approx(want, rel=1e-14)
     assert not prob.h.is_zero

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from dcprox.metric import (AdaGradMetricProvider, DiagonalMetric,
                            IdentityMetricProvider, SplitGradientMetricProvider,
-                           check_schedule_growth, gamma, growth_factor,
-                           identity_metric, split_gradient_metric)
+                           gamma, growth_factor, identity_metric)
 
 
 def test_gamma_first_band():
@@ -81,15 +80,16 @@ def test_adagrad_accumulates_squares():
 
 def test_split_gradient_frozen_example():
     # band [1/3, 3]; ratios (2, 4) clamp to (2, 3); metric is the inverse
-    D = split_gradient_metric(1, np.array([2.0, 8.0]), np.array([1.0, 2.0]), 32.0)
+    prov = SplitGradientMetricProvider(np.array([1.0, 2.0]), clamp_numerator=32.0)
+    D = prov.trial(1, np.array([2.0, 8.0]), np.zeros(2))
     assert np.allclose(D.diag, [0.5, 1.0 / 3.0], rtol=1e-15)
 
 
 def test_split_gradient_validation():
     with pytest.raises(ValueError):
-        split_gradient_metric(1, np.ones(2), np.array([1.0, 0.0]), 1e13)
+        SplitGradientMetricProvider(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        split_gradient_metric(1, np.ones(3), np.ones(2), 1e13)
+        SplitGradientMetricProvider(np.ones(2)).trial(1, np.ones(3), np.zeros(3))
 
 
 def test_identity_provider():
@@ -135,10 +135,9 @@ def test_split_provider_checks_denominator_once_and_shape_per_trial():
     assert np.isnan(np.maximum(0.5, np.minimum(2.0, np.array([np.nan, 1.0])))[0])
     with pytest.raises(ValueError, match="positive and finite"):
         prov.trial(1, np.array([np.nan, 1.0]), np.zeros(2))
-    # and it agrees with the public function bit for bit
+    # a zero coordinate lands exactly on the band top gamma_4 = sqrt(1 + 32/25)
     y = np.array([0.0, 3.0])
-    assert np.array_equal(prov.trial(4, y, np.zeros(2)).diag,
-                          split_gradient_metric(4, y, np.array([1.0, 2.0]), 32.0).diag)
+    assert prov.trial(4, y, np.zeros(2)).diag[0] == gamma(4, 32.0)
 
 
 def test_growth_checks():
@@ -146,8 +145,6 @@ def test_growth_checks():
     D2 = DiagonalMetric(np.array([1.5, 2.0]))
     assert growth_factor(D1, D1) == 0.0
     assert growth_factor(D1, D2) == pytest.approx(0.5)
-    assert check_schedule_growth(D1, D2, 0.5)
-    assert not check_schedule_growth(D1, D2, 0.4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,7 +154,7 @@ def test_split_metric_always_inside_band(k, vals):
     # whatever the intensity/column-sum ratio, the clamp keeps the metric
     # inside [1/gamma_k, gamma_k]
     y = np.asarray(vals)
-    D = split_gradient_metric(k, y, np.ones_like(y), 1e13)
+    D = SplitGradientMetricProvider(np.ones_like(y)).trial(k, y, np.zeros_like(y))
     g = gamma(k, 1e13)
     assert np.all(D.diag >= 1.0 / g - 1e-15)
     assert np.all(D.diag <= g * (1 + 1e-15))

@@ -493,6 +493,19 @@ def test_custom_restart_schedule_for_fixed_step():
     assert all(r.beta_used == 0.0 for r in res.trace)
 
 
+def test_fixed_step_schedule_shared_by_two_runs_starts_fresh_each_time():
+    data, _ = gen_logreg(120, 25, rng=7)
+    prob = build_logreg_problem(data)
+    L = logistic_lipschitz_bound(data)
+    sched = BetaSchedule()
+    first, second = (pdcae_run(prob, L, sched, StoppingRule(max_iter=50),
+                               x0=np.zeros(25)) for _ in range(2))
+    assert [r.beta_used for r in first.trace[:2]] == [0.0, 0.0]
+    assert _record_reprs(second) == _record_reprs(first)
+    assert second.x.tobytes() == first.x.tobytes()
+    assert (sched.theta, sched.t_prev) == (1.0, 0.0)  # the caller's is untouched
+
+
 @pytest.mark.parametrize("runner", ["spdcae-nonmonotone", "spdcae-monotone",
                                     "spdcae-diagnostics", "pdcae", "adca"])
 def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
