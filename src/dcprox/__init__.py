@@ -29,9 +29,8 @@ from .poisson import (PoissonCsData, build_poisson_problem, kl_split,
 from .problem import (ConcavePartOracle, DcProblem, EvaluationDomainError,
                       FeasibleSet, ProximableOracle, SmoothOracle, box,
                       criticality_residual, least_squares_smooth,
-                      linear_composite, nonnegative_orthant, objective,
-                      quadratic_smooth, whole_space, zero_concave,
-                      zero_proximable)
+                      nonnegative_orthant, objective, quadratic_smooth,
+                      whole_space, zero_concave, zero_proximable)
 from .solver import (RunResult, SolverConfig, StoppingRule, TraceRecord,
                      adca_run, descent_inequality_slacks, descent_slack,
                      extrapolation_slacks, pdcae_run, relative_error,
@@ -54,7 +53,7 @@ __all__ = [
     "identity_metric", "initial_L", "kl_split", "kl_value_grad",
     "l1_nonneg_proximable", "l1_nonneg_scaled_prox", "l1_proximable",
     "l1_scaled_prox", "l2_concave", "l2_subgradient", "least_squares_smooth",
-    "linear_composite", "load_dataset_json", "logistic_lipschitz_bound",
+    "load_dataset_json", "logistic_lipschitz_bound",
     "make_rng", "nonnegative_orthant", "objective", "pdcae_run",
     "poisson_sample", "quadratic_smooth", "read_libsvm", "read_summary_csv",
     "read_trace_csv", "relative_error", "resample_counts", "run_matrix",

@@ -492,8 +492,8 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
-# (column, TraceRecord field, parser); an empty cell reads back as None in
-# the optional columns.
+# (column, record field, parser); an empty cell reads back as None in the
+# optional columns.
 _TRACE_COLUMNS = (("k", "k", int), ("F", "F_value", float),
                   ("rel_err", "rel_error", float), ("L", "L_accepted", float),
                   ("t", "t", float), ("backtracks", "n_backtracks", int),
@@ -501,8 +501,12 @@ _TRACE_COLUMNS = (("k", "k", int), ("F", "F_value", float),
                   ("seconds", "wall_clock_seconds", float),
                   ("descent_slack", "descent_slack", float),
                   ("gate_passed", "gate_passed", _flag))
-_OPTIONAL_COLUMNS = {"rel_err", "descent_slack", "gate_passed"}
-TRACE_HEADER = [column for column, _, _ in _TRACE_COLUMNS]
+_SUMMARY_COLUMNS = (("solver", "solver", str), ("tol", "tol", float),
+                    ("mean_iterations", "mean_iterations", float),
+                    ("mean_seconds", "mean_seconds", float),
+                    ("hit_rate", "hit_rate", float), ("max_flag", "max_flag", _flag))
+_OPTIONAL_COLUMNS = {"rel_err", "descent_slack", "gate_passed",
+                     "mean_iterations", "mean_seconds"}
 
 
 def _fmt(x) -> str:
@@ -510,35 +514,45 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return str(x)  # a float's str is its shortest round-tripping repr
+
+
+def _write_table(path, columns, records) -> None:
+    """A header row of the column names, then one row per record."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([column for column, _, _ in columns])
+        for rec in records:
+            writer.writerow([_fmt(getattr(rec, name)) for _, name, _ in columns])
+
+
+def _read_table(path, columns, record, what: str) -> list:
+    """Inverse of ``_write_table``; a missing or other header, or a row of
+    the wrong length, is a ConfigError."""
+    header = [column for column, _, _ in columns]
+    out = []
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ConfigError(f"unexpected {what} header: {found}")
+        for row in reader:
+            if len(row) != len(header):
+                raise ConfigError(f"{what} row {reader.line_num} has {len(row)} fields")
+            out.append(record(**{
+                name: None if cell == "" and column in _OPTIONAL_COLUMNS else parse(cell)
+                for (column, name, parse), cell in zip(columns, row)}))
+    return out
 
 
 def write_trace_csv(path, trace: List[TraceRecord]) -> None:
     """One row per record, one column per TraceRecord field; lossless."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow([_fmt(getattr(rec, name)) for _, name, _ in _TRACE_COLUMNS])
+    _write_table(path, _TRACE_COLUMNS, trace)
 
 
 def read_trace_csv(path) -> List[TraceRecord]:
     """Inverse of ``write_trace_csv``; any other header is a ConfigError."""
-    out: List[TraceRecord] = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise ConfigError(f"unexpected trace header: {header}")
-        for row in reader:
-            if len(row) != len(TRACE_HEADER):
-                raise ConfigError(f"trace row {reader.line_num} has {len(row)} fields")
-            out.append(TraceRecord(**{
-                name: None if cell == "" and column in _OPTIONAL_COLUMNS else parse(cell)
-                for (column, name, parse), cell in zip(_TRACE_COLUMNS, row)}))
-    return out
+    return _read_table(path, _TRACE_COLUMNS, TraceRecord, "trace")
 
 
 def write_outputs(config: RunConfig, result: BenchResult) -> None:
@@ -547,15 +561,7 @@ def write_outputs(config: RunConfig, result: BenchResult) -> None:
         write_trace_csv(os.path.join(config.out_dir, f"trace_{name}_{seed}.csv"),
                         run.trace)
     rows = result.summary
-    with open(os.path.join(config.out_dir, "summary.csv"), "w", newline="",
-              encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "tol", "mean_iterations", "mean_seconds",
-                         "hit_rate", "max_flag"])
-        for r in rows:
-            writer.writerow([r.solver, _fmt(r.tol), _fmt(r.mean_iterations),
-                             _fmt(r.mean_seconds), _fmt(r.hit_rate),
-                             _fmt(r.max_flag)])
+    _write_table(os.path.join(config.out_dir, "summary.csv"), _SUMMARY_COLUMNS, rows)
     payload = {"reference_values": {str(k): v for k, v in result.references.items()},
                "reference_stops": {str(k): {"iterations": n, "stop_reason": r}
                                    for k, (n, r) in result.reference_stops.items()},
@@ -566,14 +572,6 @@ def write_outputs(config: RunConfig, result: BenchResult) -> None:
 
 
 def read_summary_csv(path) -> List[SummaryRow]:
-    out: List[SummaryRow] = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out.append(SummaryRow(
-                solver=row[0], tol=float(row[1]),
-                mean_iterations=float(row[2]) if row[2] else None,
-                mean_seconds=float(row[3]) if row[3] else None,
-                hit_rate=float(row[4]), max_flag=row[5] == "1"))
-    return out
+    """Inverse of the ``summary.csv`` that ``write_outputs`` writes; any other
+    header is a ConfigError."""
+    return _read_table(path, _SUMMARY_COLUMNS, SummaryRow, "summary")

@@ -84,14 +84,10 @@ def _load_config(path, args=None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     if args is not None:
-        if getattr(args, "seed", None):
-            raw["seeds"] = list(args.seed)
-        if getattr(args, "out", None):
-            raw["out_dir"] = args.out
-        if getattr(args, "max_iter", None):
-            raw["max_iter"] = args.max_iter
-        if getattr(args, "tol", None):
-            raw["tolerances"] = sorted(set(args.tol), reverse=True)
+        # a flag given replaces its key, even with a value RunConfig rejects
+        overrides = {"seeds": args.seed, "out_dir": args.out, "max_iter": args.max_iter,
+                     "tolerances": args.tol and sorted(set(args.tol), reverse=True)}
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return RunConfig.from_dict(raw)
 
 
@@ -171,23 +167,19 @@ def _audit_trace(path) -> list:
 
 def _audit_summary(path) -> list:
     failures = []
-    rows = read_summary_csv(path)
     by_solver = {}
-    for row in rows:
+    for row in read_summary_csv(path):
         by_solver.setdefault(row.solver, []).append(row)
-    ok = True
     for solver, group in by_solver.items():
         group = sorted(group, key=lambda r: -r.tol)  # loosest first
         present = [r.mean_iterations for r in group if r.mean_iterations is not None]
         if any(b < a for a, b in zip(present, present[1:])):
-            ok = False
             failures.append(f"{path}: first-hit iterations decrease as {solver} "
                             "tolerance tightens")
         rates = [r.hit_rate for r in group]
         if any(b > a for a, b in zip(rates, rates[1:])):
-            ok = False
             failures.append(f"{path}: hit rate increases as {solver} tolerance tightens")
-    if ok:
+    if not failures:
         print(f"check {path}: first-hit-monotone ok")
     return failures
 
@@ -196,16 +188,13 @@ def _cmd_check(args) -> int:
     if not args.trace and not args.summary:
         raise ConfigError("check needs at least one --trace or --summary")
     failures = []
-    for path in args.trace:
-        try:
-            failures.extend(_audit_trace(path))
-        except (OSError, ValueError) as exc:
-            failures.append(f"{path}: unreadable trace ({exc})")
-    for path in args.summary:
-        try:
-            failures.extend(_audit_summary(path))
-        except (OSError, ValueError) as exc:
-            failures.append(f"{path}: unreadable summary ({exc})")
+    for what, audit, paths in (("trace", _audit_trace, args.trace),
+                               ("summary", _audit_summary, args.summary)):
+        for path in paths:
+            try:
+                failures.extend(audit(path))
+            except (OSError, ValueError) as exc:
+                failures.append(f"{path}: unreadable {what} ({exc})")
     for line in failures:
         print(f"check FAIL {line}", file=sys.stderr)
     return 3 if failures else 0

@@ -278,32 +278,59 @@ def save_dataset_json(path, kind: str, data, truth: Array,
         json.dump(payload, fh)
 
 
-def _matrix_from_payload(spec: dict):
+def _array(value, name: str, ndim: int, dtype=float) -> Array:
+    """A JSON list as an ndim-d array, or a ValueError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=dtype) if isinstance(value, list) else None
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValueError(f"dataset field {name!r} must be a {ndim}-d list of numbers")
+    return arr
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"dataset field {name!r} must be a number")
+    return float(value)
+
+
+def _matrix_from_payload(spec):
+    if not isinstance(spec, dict):
+        raise ValueError("dataset field 'A' must be an object")
     if spec["format"] == "dense":
-        return np.asarray(spec["values"], dtype=float)
+        return _array(spec["values"], "A.values", 2)
     if spec["format"] == "csr":
-        return sp.csr_matrix((np.asarray(spec["values"], dtype=float),
-                              np.asarray(spec["indices"], dtype=np.int32),
-                              np.asarray(spec["indptr"], dtype=np.int32)),
-                             shape=tuple(spec["shape"]))
+        return sp.csr_matrix((_array(spec["values"], "A.values", 1),
+                              _array(spec["indices"], "A.indices", 1, np.int32),
+                              _array(spec["indptr"], "A.indptr", 1, np.int32)),
+                             shape=tuple(_array(spec["shape"], "A.shape", 1, int)))
     raise ValueError(f"unknown matrix format: {spec['format']!r}")
 
 
 def load_dataset_json(path):
-    """Inverse of save_dataset_json: returns (kind, data, truth, params)."""
+    """Inverse of save_dataset_json: returns (kind, data, truth, params).
+
+    A field of the wrong JSON type is a ValueError that names it.
+    """
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("dataset JSON must hold an object")
     kind = payload["kind"]
-    truth = np.asarray(payload["truth"], dtype=float)
+    truth = _array(payload["truth"], "truth", 1)
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("dataset field 'params' must be an object")
     if kind == "logreg":
         data = LogRegData(A=_matrix_from_payload(payload["A"]),
-                          b=np.asarray(payload["labels"], dtype=float),
-                          lam=float(payload["lambda"]))
+                          b=_array(payload["labels"], "labels", 1),
+                          lam=_number(payload["lambda"], "lambda"))
     elif kind == "poisson-cs":
         data = PoissonCsData(A=_matrix_from_payload(payload["A"]),
-                             b=np.asarray(payload["counts"], dtype=float),
-                             bg=float(payload["bg"]),
-                             lam=float(payload["lambda"]))
+                             b=_array(payload["counts"], "counts", 1),
+                             bg=_number(payload["bg"], "bg"),
+                             lam=_number(payload["lambda"], "lambda"))
     else:
         raise ValueError(f"unknown dataset kind: {kind!r}")
-    return kind, data, truth, payload.get("params", {})
+    return kind, data, truth, params

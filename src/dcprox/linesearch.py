@@ -75,27 +75,27 @@ class BacktrackConfig:
 class IterateState:
     """Rolling solver state entering outer iteration k.
 
-    Holds the two most recent iterates (equal at the start), the subgradient
-    of the concave part at the newest one, and the last accepted curvature
-    estimate.  When the smooth term has a linear form, ``z_prev`` and
-    ``z_prev2`` are A x_prev and A x_prev2, each computed from its iterate.
+    Holds the two most recent iterates (equal at the start) with ``z_prev``
+    = A x_prev and ``z_prev2`` = A x_prev2, each computed from its iterate,
+    the subgradient of the concave part at the newest one, and the last
+    accepted curvature estimate.
     """
 
     x_prev: Array
     x_prev2: Array
+    z_prev: Array
+    z_prev2: Array
     h_prev: Array | None = None
     L_prev: float = 1.0
     k: int = 1
-    z_prev: Array | None = None
-    z_prev2: Array | None = None
 
 
 @dataclass
 class IterationSnapshot:
     """Accepted iteration k, as every step policy returns it and the loop
-    keeps it: x with f = f(x), from the prox step of size t = 1/L in the
-    metric at y with the h-subgradient h_prev; beta and theta gave y.  z is
-    A x when the smooth term has a linear form, None otherwise.
+    keeps it: x with z = A x and f = f(x), from the prox step of size
+    t = 1/L in the metric at y with the h-subgradient h_prev; beta and theta
+    gave y.
     """
 
     k: int
@@ -108,10 +108,10 @@ class IterationSnapshot:
     beta: float
     theta: float
     metric: DiagonalMetric
+    z: Array
     n_backtracks: int = 0
     restarted: bool = False
     gate_passed: bool | None = None
-    z: Array | None = None
 
 
 def initial_L(config: BacktrackConfig, k: int, L_returned_prev: float) -> float:
@@ -153,30 +153,26 @@ def extrapolate(problem: DcProblem, state: IterateState,
                 beta: float) -> tuple[Array, float, Array]:
     """y = P(x_prev + beta (x_prev - x_prev2)) with f(y) and grad f(y).
 
-    On the whole space y is not projected, so with a linear form f is taken
-    at A y = z_prev + beta (z_prev - z_prev2) without a forward product;
-    elsewhere the projection breaks linearity and f is called at y.
+    When the projection clips nothing (always on the whole space), f is
+    taken at A y = z_prev + beta (z_prev - z_prev2) without a forward
+    product; otherwise the projection breaks linearity and A y is formed.
     """
-    x_prev, z_prev = state.x_prev, state.z_prev
-    y = problem.feasible_set.scaled_project(x_prev + beta * (x_prev - state.x_prev2))
-    if z_prev is not None and problem.feasible_set.kind == "whole-space":
-        return y, *problem.f.value_grad_at(z_prev + beta * (z_prev - state.z_prev2))
-    return y, *problem.f.value_grad(y)
+    x_prev, z_prev, f = state.x_prev, state.z_prev, problem.f
+    y_lin = x_prev + beta * (x_prev - state.x_prev2)
+    y = problem.feasible_set.scaled_project(y_lin)
+    z = z_prev + beta * (z_prev - state.z_prev2) if y is y_lin else f.A @ y
+    return y, *f.value_grad_at(z)
 
 
 def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
                h: Array, t: float,
-               D: DiagonalMetric) -> tuple[Array, Array | None, float, bool]:
+               D: DiagonalMetric) -> tuple[Array, Array, float, bool]:
     """x_new = prox of g of size t in the metric D at y - t D^{-1} (grad_y - h),
-    z_new = A x_new (None without a linear form), f(x_new), and whether the
-    decrease test from (f_y, grad_y) at y holds."""
+    z_new = A x_new, f(x_new), and whether the decrease test from
+    (f_y, grad_y) at y holds."""
     x_new = problem.g.scaled_prox(y - t * (grad_y - h) / D.diag, t, D)
-    f = problem.f
-    if f.A is None:
-        z_new, f_new = None, f.eval(x_new)
-    else:
-        z_new = f.A @ x_new
-        f_new = f.value_at(z_new)
+    z_new = problem.f.A @ x_new
+    f_new = problem.f.value_at(z_new)
     return (x_new, z_new, f_new,
             sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D))
 

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .metric import DiagonalMetric
 from .problem import (ConcavePartOracle, DcProblem, ProximableOracle,
-                      SmoothOracle, linear_composite, whole_space)
+                      SmoothOracle, whole_space)
 
 Array = np.ndarray
 
@@ -60,7 +60,7 @@ def _mean_softplus(u: Array) -> float:
 
 
 def logistic_smooth(data: LogRegData) -> SmoothOracle:
-    """Averaged logistic loss f(x) = l(A x) with its linear form.
+    """Averaged logistic loss f(x) = l(A x).
 
     At z = A x and u = -b * z:
     value = (1/m) sum_i log(1 + exp(u_i)),
@@ -71,17 +71,12 @@ def logistic_smooth(data: LogRegData) -> SmoothOracle:
     def grad_from(u: Array) -> Array:
         return np.asarray(-(A.T @ (b * expit(u))) / m)
 
-    def value_at(z: Array) -> float:
-        return _mean_softplus(-b * z)
-
     def value_grad_at(z: Array) -> tuple[float, Array]:
         u = -b * z
         return _mean_softplus(u), grad_from(u)
 
-    def grad_at(z: Array) -> Array:
-        return grad_from(-b * z)
-
-    return linear_composite(A, value_at, value_grad_at, grad_at)
+    return SmoothOracle(A, lambda z: _mean_softplus(-b * z), value_grad_at,
+                        lambda z: grad_from(-b * z))
 
 
 def l1_scaled_prox(v: Array, t: float, lam: float,

@@ -10,7 +10,8 @@ constant V = A^T 1 > 0, which the problem carries for the split-gradient metric.
 The constants of the KL value that depend on the counts alone (the mask of
 positive counts, those counts, and their total) are built once per data
 record, so an oracle call pays only for the products, the logarithms and one
-``min`` reduction per domain check.
+``min`` reduction per domain check.  The KL term is written at z = A x
+(``kl_smooth``), so the solvers can carry z through their loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .logreg import l2_concave
 from .metric import DiagonalMetric
 from .problem import (DcProblem, EvaluationDomainError, ProximableOracle,
-                      SmoothOracle, nonnegative_orthant)
+                      SmoothOracle, _smallest, nonnegative_orthant)
 
 Array = np.ndarray
 
@@ -79,16 +80,14 @@ class PoissonCsData:
         return self.A.shape[1]
 
 
-# Smallest entry ignoring NaNs, +inf for an empty vector, so that
-# ``_smallest(v) < a`` is ``np.any(v < a)`` in one reduction: a point with a
-# NaN and a negative entry is still rejected, an all-NaN one is not.
-_smallest = functools.partial(np.fmin.reduce, initial=math.inf)
-
-
-def _intensity(data: PoissonCsData, x: Array) -> Array:
+def _forward(data: PoissonCsData, x: Array) -> Array:
     if _smallest(x) < 0.0:
         raise EvaluationDomainError("KL term evaluated at a negative point")
-    c = data.A @ x + data.bg
+    return data.A @ x
+
+
+def _intensity(data: PoissonCsData, z: Array) -> Array:
+    c = z + data.bg
     if _smallest(c) <= 0.0:
         raise EvaluationDomainError("model intensity is not strictly positive")
     return c
@@ -99,9 +98,14 @@ def _kl_at(data: PoissonCsData, c: Array) -> float:
     return float(c.sum() - data.b_sum + (b_pos * np.log(b_pos / c[data.pos])).sum())
 
 
+def _kl_value_grad_at(data: PoissonCsData, z: Array) -> tuple[float, Array]:
+    c = _intensity(data, z)
+    return _kl_at(data, c), data.A.T @ (1.0 - data.b / c)
+
+
 def kl_value(data: PoissonCsData, x: Array) -> float:
     """KL divergence between counts and model intensity c = A x + bg."""
-    return _kl_at(data, _intensity(data, x))
+    return _kl_at(data, _intensity(data, _forward(data, x)))
 
 
 def kl_value_grad(data: PoissonCsData, x: Array) -> tuple[float, Array]:
@@ -110,8 +114,7 @@ def kl_value_grad(data: PoissonCsData, x: Array) -> tuple[float, Array]:
     value = sum_i b_i log(b_i / c_i) + c_i - b_i with c = A x + bg; terms with
     b_i = 0 contribute c_i.  grad = A^T (1 - b / c).
     """
-    c = _intensity(data, x)
-    return _kl_at(data, c), data.A.T @ (1.0 - data.b / c)
+    return _kl_value_grad_at(data, _forward(data, x))
 
 
 def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
@@ -120,12 +123,20 @@ def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
     Raises when some column of A is identically zero, since V must be
     strictly positive for the split-gradient metric.
     """
-    c = _intensity(data, x)
+    c = _intensity(data, _forward(data, x))
     U = data.A.T @ (data.b / c)
     V = data.A.T @ np.ones(data.m)
     if np.any(V <= 0.0):
         raise ValueError("sensing matrix has a zero column; split undefined")
     return U, V
+
+
+def kl_smooth(data: PoissonCsData) -> SmoothOracle:
+    """The KL term at z = A x, with c = z + bg checked strictly positive;
+    x >= 0 is left to the feasible set."""
+    return SmoothOracle(data.A, lambda z: _kl_at(data, _intensity(data, z)),
+                        functools.partial(_kl_value_grad_at, data),
+                        lambda z: _kl_value_grad_at(data, z)[1])
 
 
 def l1_nonneg_scaled_prox(v: Array, t: float, lam: float,
@@ -159,8 +170,7 @@ def build_poisson_problem(data: PoissonCsData) -> DcProblem:
     col_sums = data.A.T @ np.ones(data.m)
     if np.any(col_sums <= 0.0):
         raise ValueError("sensing matrix has a zero column")
-    return DcProblem(f=SmoothOracle(eval=lambda x: kl_value(data, x),
-                                    value_grad=lambda x: kl_value_grad(data, x)),
+    return DcProblem(f=kl_smooth(data),
                      g=l1_nonneg_proximable(data.lam),
                      h=l2_concave(data.lam),
                      feasible_set=nonnegative_orthant(),

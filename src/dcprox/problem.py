@@ -4,15 +4,14 @@ f is smooth convex, g is closed convex with an inexpensive (scaled) proximal
 map, h is convex and continuous, and dom g is contained in a closed convex set
 Y on which f is smooth.  Oracles are plain records of callables so problems
 can be assembled from closed-form pieces without subclassing.  The smooth
-term answers ``eval(x)`` and the fused ``value_grad(x)``, so each point the
-solvers visit costs one call; ``objective`` reuses an f(x) already known.
-A smooth term of the form f(x) = l(A x) may also carry ``A`` and its
-callables at z = A x, so the solvers can carry z through the loop and form
-A y by linearity instead of a matrix product.
+term is f(x) = l(A x), given by ``A`` and its callables at z = A x, so the
+solvers carry z through their loop and form A y by linearity instead of a
+matrix product; ``objective`` reuses an f(x) already known.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
@@ -32,36 +31,35 @@ class EvaluationDomainError(ValueError):
     """
 
 
+# Smallest entry ignoring NaNs, +inf for an empty vector, so that
+# ``_smallest(v) < a`` is ``np.any(v < a)`` in one reduction: a point with a
+# NaN and a negative entry is still rejected, an all-NaN one is not.
+_smallest = functools.partial(np.fmin.reduce, initial=math.inf)
+
+
 @dataclass(frozen=True)
 class SmoothOracle:
-    """Value, and value with gradient, of the smooth convex term.
+    """The smooth convex term f(x) = l(A x), given at z = A x.
 
-    Both callables must be finite on the feasible set and deterministic, and
-    ``value_grad(x)[0]`` must equal ``eval(x)`` exactly.
-
-    The optional linear form describes f(x) = l(A x): the matrix ``A``
-    (dense or sparse) and, at z = A x, ``value_at(z)`` = f(x),
-    ``value_grad_at(z)`` = (f(x), grad f(x)) and ``grad_at(z)`` = grad f(x),
-    each equal bit for bit to the x-space call at x.  All four are given or
-    none is.
+    ``A`` is the matrix (dense or sparse); ``value_at(z)`` is f(x),
+    ``value_grad_at(z)`` is (f(x), grad f(x)) and ``grad_at(z)`` is
+    grad f(x).  The three must agree bit for bit, be finite on the image of
+    the feasible set and be deterministic.  The x-space methods make the one
+    forward product.
     """
 
-    eval: Callable[[Array], float]
-    value_grad: Callable[[Array], Tuple[float, Array]]
-    A: Any = None
-    value_at: Optional[Callable[[Array], float]] = None
-    value_grad_at: Optional[Callable[[Array], Tuple[float, Array]]] = None
-    grad_at: Optional[Callable[[Array], Array]] = None
+    A: Any
+    value_at: Callable[[Array], float]
+    value_grad_at: Callable[[Array], Tuple[float, Array]]
+    grad_at: Callable[[Array], Array]
 
-    def __post_init__(self):
-        parts = (self.A, self.value_at, self.value_grad_at, self.grad_at)
-        if len({part is None for part in parts}) > 1:
-            raise ValueError("a linear form needs A, value_at, value_grad_at "
-                             "and grad_at together")
+    def eval(self, x: Array) -> float:
+        return self.value_at(self.A @ x)
+
+    def value_grad(self, x: Array) -> Tuple[float, Array]:
+        return self.value_grad_at(self.A @ x)
 
     def grad(self, x: Array) -> Array:
-        if self.A is None:
-            return self.value_grad(x)[1]
         return self.grad_at(self.A @ x)
 
 
@@ -112,10 +110,12 @@ class FeasibleSet:
                 raise ValueError("box set needs lo <= hi")
 
     def scaled_project(self, v: Array) -> Array:
+        """The projection of v; v itself when it clips nothing on the whole
+        space or the orthant, so callers can test ``is``."""
         if self.kind == "whole-space":
             return v
         if self.kind == "nonnegative-orthant":
-            return np.maximum(v, 0.0)
+            return v if _smallest(v) >= 0.0 else np.maximum(v, 0.0)
         return np.clip(v, self.lo, self.hi)
 
     def contains(self, v: Array) -> bool:
@@ -196,31 +196,21 @@ def zero_proximable() -> ProximableOracle:
 
 
 def quadratic_smooth(center: Array, curvature: float = 1.0) -> SmoothOracle:
-    """f(x) = curvature/2 * ||x - center||^2."""
+    """f(x) = curvature/2 * ||x - center||^2, with A the identity."""
     c = np.asarray(center, dtype=float)
     L = float(curvature)
 
-    def value_grad(x: Array) -> Tuple[float, Array]:
-        d = x - c
+    def value_grad_at(z: Array) -> Tuple[float, Array]:
+        d = z - c
         return 0.5 * L * float(np.dot(d, d)), L * d
 
-    return SmoothOracle(eval=lambda x: value_grad(x)[0], value_grad=value_grad)
-
-
-def linear_composite(A, value_at: Callable[[Array], float],
-                     value_grad_at: Callable[[Array], Tuple[float, Array]],
-                     grad_at: Callable[[Array], Array]) -> SmoothOracle:
-    """The smooth term f(x) = l(A x) from its callables at z = A x; the
-    x-space ``eval`` and ``value_grad`` make the one forward product."""
-    return SmoothOracle(eval=lambda x: value_at(A @ x),
-                        value_grad=lambda x: value_grad_at(A @ x),
-                        A=A, value_at=value_at, value_grad_at=value_grad_at,
-                        grad_at=grad_at)
+    return SmoothOracle(np.eye(c.shape[0]), lambda z: value_grad_at(z)[0],
+                        value_grad_at, lambda z: value_grad_at(z)[1])
 
 
 def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
-    """f(x) = 1/2 ||A x - y||^2, with its linear form.  An ndarray subclass
-    of A is kept as given, except np.matrix, whose products are 2-d."""
+    """f(x) = 1/2 ||A x - y||^2.  An ndarray subclass of A is kept as given,
+    except np.matrix, whose products are 2-d."""
     A = (np.asarray if isinstance(A, np.matrix) else np.asanyarray)(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2:
@@ -240,4 +230,4 @@ def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
     def grad_at(z: Array) -> Array:
         return A.T @ (z - y)
 
-    return linear_composite(A, value_at, value_grad_at, grad_at)
+    return SmoothOracle(A, value_at, value_grad_at, grad_at)

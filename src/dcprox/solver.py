@@ -160,10 +160,9 @@ def _check_start(problem: DcProblem, x0) -> Array:
     x0 = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x0)):
         raise ValueError("start point must be finite")
-    A = problem.f.A
-    if A is not None and x0.shape != (A.shape[1],):
-        raise ValueError(f"start point must have {A.shape[1]} entries, "
-                         "one per column of A")
+    n = problem.f.A.shape[1]
+    if x0.shape != (n,):
+        raise ValueError(f"start point must have {n} entries, one per column of A")
     if problem.g.eval(x0) == float("inf") or not problem.feasible_set.contains(x0):
         raise ValueError("start point is infeasible")
     return x0
@@ -178,10 +177,9 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
         return "f_target"
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
         return "rel_tol"
-    if stop.crit_tol is not None:
-        grad = None if s.z is None else problem.f.grad_at(s.z)
-        if criticality_residual(problem, s.x, s.t, grad) <= stop.crit_tol:
-            return "crit_tol"
+    if stop.crit_tol is not None and criticality_residual(
+            problem, s.x, s.t, problem.f.grad_at(s.z)) <= stop.crit_tol:
+        return "crit_tol"
     if stop.stall_iters is not None and since_low >= stop.stall_iters:
         return "stalled"
     return None
@@ -194,13 +192,13 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
 
     ``step(state)`` returns the ``IterationSnapshot`` taken from
     ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
-    kept as is under ``keep_states``.  With a linear form, A x0 is computed
-    here once and each later z comes from the accepted snapshot.
+    kept as is under ``keep_states``.  A x0 is computed here once and each
+    later z comes from the accepted snapshot.
     ``on_value`` receives each accepted objective value.  The lowest
     objective and its iteration are tracked only for a stall clause.
     """
     stop = stop or StoppingRule()
-    z0 = None if problem.f.A is None else problem.f.A @ x0
+    z0 = problem.f.A @ x0
     state = IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0)
     trace: List[TraceRecord] = []
     states: List[IterationSnapshot] = []
@@ -231,10 +229,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         if keep_states:
             states.append(s)
 
-        state.x_prev2 = state.x_prev
-        state.x_prev = s.x
-        state.z_prev2 = state.z_prev
-        state.z_prev = s.z
+        state.x_prev2, state.x_prev = state.x_prev, s.x
+        state.z_prev2, state.z_prev = state.z_prev, s.z
         state.L_prev = s.L
 
         reason = _stop_reason(problem, stop, F, rel, s, k - k_low)
@@ -358,9 +354,9 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
     The candidate y = x + beta (x - x_prev), projected onto the feasible
     set, is used as the base of the proximal step only if F(y) does not
     exceed the largest of the last q+1 iterate values (q >= 0); otherwise the
-    step is taken from the current iterate, where a linear form takes f from
-    the carried A x.  Only actual iterates enter the history.  The trace
-    records the gate decision, with beta_used = 0 on rejected candidates.
+    step is taken from the current iterate, with f from the carried A x.
+    Only actual iterates enter the history.  The trace records the gate
+    decision, with beta_used = 0 on rejected candidates.
     """
     x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "adca_run")
     if q < 0:
@@ -376,8 +372,7 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
             base, f_base, grad_base = y, f_y, grad_y
         else:
             base = state.x_prev
-            f_base, grad_base = (problem.f.value_grad(base) if state.z_prev is None
-                                 else problem.f.value_grad_at(state.z_prev))
+            f_base, grad_base = problem.f.value_grad_at(state.z_prev)
         h = problem.h.subgrad(base)
         s = prox_step(state.k, base, h, f_base, grad_base,
                       beta if gate else 0.0, theta)

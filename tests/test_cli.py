@@ -188,6 +188,25 @@ def test_check_flags_nonmonotone_summary(tmp_path, capsys):
     assert "first-hit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--trace", ""), ("--summary", ""), ("--summary", "a,b\n1,2\n"),
+    ("--summary", "solver,tol,mean_iterations,mean_seconds,hit_rate,max_flag\n"
+                  "spdcae1,0.1\n"),
+], ids=["empty-trace", "empty-summary", "foreign-summary-header",
+        "short-summary-row"])
+def test_check_reports_unreadable_csv(tmp_path, capsys, flag, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(["check", flag, str(path)]) == 3
+    assert "unreadable" in capsys.readouterr().err
+
+
+def test_bench_max_iter_zero_is_config_error(tmp_path, capsys, no_solves):
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert main(["bench", "--config", str(cfg), "--max-iter", "0"]) == 2
+    assert "iteration budgets" in capsys.readouterr().err
+
+
 def test_check_without_inputs_is_config_error(capsys):
     assert main(["check"]) == 2
 
@@ -319,6 +338,14 @@ def _bad_problems(tmp_path):
     bad_label.write_text("+1 1:0.5\nx 2:1.0\n")
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
+    dataset = {"kind": "logreg", "A": {"format": "dense", "values": [[1.0], [0.5]]},
+               "labels": [1.0, -1.0], "lambda": 0.01, "truth": [0.0]}
+    malformed = {}
+    for case, change in (("list-dataset-json", None),
+                         ("scalar-matrix-dataset-json", {"A": 5}),
+                         ("scalar-labels-dataset-json", {"labels": 1.0})):
+        path = malformed[case] = tmp_path / f"{case}.json"
+        path.write_text(json.dumps([] if change is None else dict(dataset, **change)))
     return {
         "poisson-n-below-k-nonzeros": {"kind": "poisson-synthetic", "n": 10, "m": 5},
         "negative-lambda": {"kind": "logreg-synthetic", "m": 40, "n": 8,
@@ -327,13 +354,17 @@ def _bad_problems(tmp_path):
                                 "path": str(tmp_path / "nope.svm")},
         "bad-libsvm-label": {"kind": "logreg-file", "path": str(bad_label)},
         "empty-dataset-json": {"kind": "dataset-json", "path": str(empty)},
+        **{case: {"kind": "dataset-json", "path": str(path)}
+           for case, path in malformed.items()},
     }
 
 
 @pytest.mark.parametrize("command", ["bench", "ref"])
 @pytest.mark.parametrize("case", ["poisson-n-below-k-nonzeros", "negative-lambda",
                                   "missing-libsvm-file", "bad-libsvm-label",
-                                  "empty-dataset-json"])
+                                  "empty-dataset-json", "list-dataset-json",
+                                  "scalar-matrix-dataset-json",
+                                  "scalar-labels-dataset-json"])
 def test_problem_the_builder_rejects_exits_2(tmp_path, capsys, no_solves, command,
                                              case):
     problem = _bad_problems(tmp_path)[case]

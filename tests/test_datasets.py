@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -212,3 +214,26 @@ def test_dataset_json_sparse_logreg_round_trip(tmp_path):
     _, loaded, _, _ = load_dataset_json(path)
     assert sp.issparse(loaded.A)
     assert np.allclose(loaded.A.toarray(), data.A, rtol=0, atol=0)
+
+
+_DATASET = {"kind": "logreg", "A": {"format": "dense", "values": [[1.0], [0.5]]},
+            "labels": [1.0, -1.0], "lambda": 0.01, "truth": [0.0]}
+
+
+@pytest.mark.parametrize("payload, named", [
+    ([], "must hold an object"),
+    (dict(_DATASET, A=5), "'A'"),
+    (dict(_DATASET, labels=1.0), "'labels'"),
+    (dict(_DATASET, A={"format": "dense", "values": [[1.0], [0.5, 2.0]]}), "'A.values'"),
+    (dict(_DATASET, A={"format": "csr", "shape": 3, "values": [], "indices": [],
+                       "indptr": [0]}), "'A.shape'"),
+    (dict(_DATASET, **{"lambda": "0.01"}), "'lambda'"),
+    (dict(_DATASET, truth=[[0.0]]), "'truth'"),
+    (dict(_DATASET, params=[]), "'params'"),
+], ids=["list-root", "scalar-matrix", "scalar-labels", "ragged-matrix",
+        "scalar-csr-shape", "string-lambda", "2-d-truth", "list-params"])
+def test_dataset_json_field_of_wrong_type_is_named(tmp_path, payload, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=named):
+        load_dataset_json(path)

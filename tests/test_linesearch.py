@@ -1,19 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dcprox.accel import BetaSchedule
 from dcprox.linesearch import (BacktrackConfig, IterateState, LineSearchError,
-                               backtrack_step, initial_L, sufficient_decrease)
+                               backtrack_step, extrapolate, initial_L,
+                               sufficient_decrease)
 from dcprox.metric import (DiagonalMetric, IdentityMetricProvider,
                            identity_metric)
-from dcprox.problem import (DcProblem, SmoothOracle, quadratic_smooth,
-                            whole_space, zero_concave, zero_proximable)
+from dcprox.problem import (DcProblem, SmoothOracle, least_squares_smooth,
+                            nonnegative_orthant, quadratic_smooth, whole_space,
+                            zero_concave, zero_proximable)
 
 
 def _quad_problem(curvature=4.0):
     return DcProblem(f=quadratic_smooth(np.zeros(1), curvature=curvature),
                      g=zero_proximable(), h=zero_concave(),
                      feasible_set=whole_space())
+
+
+def _state(prob, x, h=0.0):
+    """The state entering iteration 1 from the one-entry start [x]."""
+    x0 = np.array([x])
+    z0 = prob.f.A @ x0
+    return IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0,
+                        h_prev=np.array([h]), L_prev=1.0, k=1)
 
 
 def test_config_validation():
@@ -82,8 +94,7 @@ def test_sufficient_decrease_quadratic_threshold():
 def test_backtrack_doubles_until_curvature():
     prob = _quad_problem(curvature=4.0)
     cfg = BacktrackConfig(mode="nonmonotone", eta=2.0, L_init=1.0)
-    state = IterateState(x_prev=np.array([1.0]), x_prev2=np.array([1.0]),
-                         h_prev=np.zeros(1), L_prev=1.0, k=1)
+    state = _state(prob, 1.0)
     out = backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert out.n_backtracks == 2
@@ -96,13 +107,13 @@ def test_backtrack_doubles_until_curvature():
 
 def test_backtrack_exhaustion_raises_with_context():
     # a gradient oracle with the wrong sign can never satisfy the bound
-    f = SmoothOracle(eval=lambda x: 0.5 * float(x @ x),
-                     value_grad=lambda x: (0.5 * float(x @ x), -10.0 * x))
+    f = SmoothOracle(np.eye(1), value_at=lambda z: 0.5 * float(z @ z),
+                     value_grad_at=lambda z: (0.5 * float(z @ z), -10.0 * z),
+                     grad_at=lambda z: -10.0 * z)
     prob = DcProblem(f=f, g=zero_proximable(), h=zero_concave(),
                      feasible_set=whole_space())
     cfg = BacktrackConfig(mode="nonmonotone", max_inner=5, L_init=1.0)
-    state = IterateState(x_prev=np.array([1.0]), x_prev2=np.array([1.0]),
-                         h_prev=np.zeros(1), L_prev=1.0, k=1)
+    state = _state(prob, 1.0)
     with pytest.raises(LineSearchError) as exc_info:
         backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
                        IdentityMetricProvider())
@@ -129,8 +140,7 @@ class _CountingProvider(IdentityMetricProvider):
 
 def test_monotone_evaluates_metric_once_per_iteration():
     prob = _quad_problem(curvature=4.0)
-    state = IterateState(x_prev=np.array([1.0]), x_prev2=np.array([1.0]),
-                         h_prev=np.zeros(1), L_prev=1.0, k=1)
+    state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="monotone", L_init=1.0), state,
                    BetaSchedule(family="none"), counter)
@@ -139,8 +149,7 @@ def test_monotone_evaluates_metric_once_per_iteration():
 
 def test_nonmonotone_reevaluates_metric_per_trial():
     prob = _quad_problem(curvature=4.0)
-    state = IterateState(x_prev=np.array([1.0]), x_prev2=np.array([1.0]),
-                         h_prev=np.zeros(1), L_prev=1.0, k=1)
+    state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0), state,
                    BetaSchedule(family="none"), counter)
@@ -150,10 +159,36 @@ def test_nonmonotone_reevaluates_metric_per_trial():
 def test_concave_shift_enters_step():
     # h' acts as a constant shift of the gradient: x = y - t (grad - h')
     prob = _quad_problem(curvature=1.0)  # f = x^2/2, grad = x, L_true = 1
-    state = IterateState(x_prev=np.array([2.0]), x_prev2=np.array([2.0]),
-                         h_prev=np.array([1.0]), L_prev=1.0, k=1)
+    state = _state(prob, 2.0, h=1.0)
     out = backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0),
                          state, BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert np.allclose(out.x, [1.0])
     assert out.n_backtracks == 0
+
+
+def test_extrapolation_takes_A_y_by_linearity_unless_clipped():
+    rng = np.random.default_rng(1)
+    A = rng.uniform(0.0, 1.0, (6, 4))
+    f = least_squares_smooth(A, rng.standard_normal(6))
+    seen = []
+    prob = DcProblem(
+        f=dataclasses.replace(f, value_grad_at=lambda z: seen.append(z) or f.value_grad_at(z)),
+        g=zero_proximable(), h=zero_concave(), feasible_set=nonnegative_orthant())
+    x_prev = np.array([1.0, 2.0, 0.5, 3.0])
+
+    def state(x_prev2):
+        return IterateState(x_prev=x_prev, x_prev2=x_prev2, z_prev=A @ x_prev,
+                            z_prev2=A @ x_prev2)
+
+    # nothing clipped: A y = z_prev + beta (z_prev - z_prev2), within rounding
+    s = state(np.array([0.5, 1.0, 0.25, 2.0]))
+    y, _, _ = extrapolate(prob, s, 0.7)
+    Ay = A @ y
+    assert np.all(y > 0.0)
+    assert seen[-1].tobytes() == (s.z_prev + 0.7 * (s.z_prev - s.z_prev2)).tobytes()
+    assert np.linalg.norm(seen[-1] - Ay) <= 1e-12 * np.linalg.norm(Ay)
+    # one coordinate clipped: A y is the forward product itself
+    y, _, _ = extrapolate(prob, state(np.array([0.5, 1.0, 2.0, 2.0])), 0.7)
+    assert y[2] == 0.0
+    assert seen[-1].tobytes() == (A @ y).tobytes()

@@ -212,15 +212,12 @@ def test_value_grad_matches_eval(kind):
         else:
             fd = finite_diff_grad(f.eval, x, step=1e-7)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
-        if kind in ("least-squares", "logreg"):
-            # the linear form at z = A x is the x-space call, bit for bit
-            z = f.A @ x
-            value_z, grad_z = f.value_grad_at(z)
-            assert f.value_at(z) == value == value_z
-            assert grad_z.tobytes() == grad.tobytes()
-            assert f.grad_at(z).tobytes() == grad.tobytes()
-        else:
-            assert f.A is None
+        # the callables at z = A x are the x-space calls, bit for bit
+        z = f.A @ x
+        value_z, grad_z = f.value_grad_at(z)
+        assert f.value_at(z) == value == value_z
+        assert grad_z.tobytes() == grad.tobytes()
+        assert f.grad_at(z).tobytes() == grad.tobytes()
 
 
 def test_oracle_factories():

@@ -57,7 +57,7 @@ def test_objective_short_circuits_on_infinite_g():
         raise AssertionError("smooth part must not be evaluated")
 
     from dcprox.problem import ProximableOracle, SmoothOracle
-    f = SmoothOracle(eval=poisoned, value_grad=poisoned)
+    f = SmoothOracle(np.eye(2), poisoned, poisoned, poisoned)
     g = ProximableOracle(eval=lambda x: np.inf, scaled_prox=lambda v, t, D: v)
     prob = DcProblem(f=f, g=g, h=zero_concave(), feasible_set=whole_space())
     assert objective(prob, np.zeros(2)) == np.inf

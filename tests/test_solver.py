@@ -12,10 +12,11 @@ from dcprox.linesearch import BacktrackConfig
 from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave, logistic_lipschitz_bound)
 from dcprox.metric import DiagonalMetric, gamma
-from dcprox.poisson import build_poisson_problem
+from dcprox.poisson import build_poisson_problem, l1_nonneg_proximable
 from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
-                            least_squares_smooth, objective, quadratic_smooth,
-                            whole_space, zero_concave, zero_proximable)
+                            least_squares_smooth, nonnegative_orthant, objective,
+                            quadratic_smooth, whole_space, zero_concave,
+                            zero_proximable)
 from dcprox.solver import (RunResult, SolverConfig, StoppingRule,
                            adca_run, descent_inequality_slacks, descent_slack,
                            extrapolation_slacks, pdcae_run, relative_error,
@@ -165,19 +166,19 @@ def test_descent_slacks_nonnegative_across_problem_types():
 
 def test_descent_audit_reuses_snapshot_objectives():
     prob, A, yv, lam, L = _lasso_problem()
-    counts = {"eval": 0}
+    counts = {"value_at": 0}
 
-    def counted_eval(x):
-        counts["eval"] += 1
-        return prob.f.eval(x)
+    def counted_value_at(z):
+        counts["value_at"] += 1
+        return prob.f.value_at(z)
 
     counting = dataclasses.replace(
-        prob, f=SmoothOracle(eval=counted_eval, value_grad=prob.f.value_grad))
+        prob, f=dataclasses.replace(prob.f, value_at=counted_value_at))
     res = spdcae_run(counting, SolverConfig(), StoppingRule(max_iter=50), x0=np.zeros(10),
                      keep_states=True)
-    counts["eval"] = 0
+    counts["value_at"] = 0
     slacks = descent_inequality_slacks(counting, res)
-    assert counts["eval"] == 1  # F(x_0) alone
+    assert counts["value_at"] == 1  # F(x_0) alone
     # the values of the per-snapshot formula, bit for bit
     xs = [res.x0] + [snap.x for snap in res.states]
     expected = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t,
@@ -511,17 +512,17 @@ def test_fixed_step_schedule_shared_by_two_runs_starts_fresh_each_time():
 def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
     # curvature 4 under a step of 1/8: no trial ever backtracks
     def run(n_iter):
-        counts = {"eval": 0, "value_grad": 0}
+        counts = {"value_at": 0, "value_grad_at": 0, "grad_at": 0}
         f = quadratic_smooth(np.array([1.0, -2.0]), curvature=4.0)
 
         def counted(name):
-            def call(x):
+            def call(z):
                 counts[name] += 1
-                return getattr(f, name)(x)
+                return getattr(f, name)(z)
             return call
 
-        prob = DcProblem(f=SmoothOracle(eval=counted("eval"),
-                                        value_grad=counted("value_grad")),
+        prob = DcProblem(f=SmoothOracle(f.A, counted("value_at"),
+                                        counted("value_grad_at"), counted("grad_at")),
                          g=zero_proximable(), h=zero_concave(),
                          feasible_set=whole_space())
         stop = StoppingRule(max_iter=n_iter)
@@ -545,7 +546,8 @@ def test_one_smooth_oracle_call_of_each_kind_per_iteration(runner):
     if runner == "adca":
         assert all(rec.gate_passed for rec in res.trace)
         assert res.trace[-1].beta_used > 0.0
-    assert {k: after[k] - before[k] for k in after} == {"eval": 1, "value_grad": 1}
+    assert ({k: after[k] - before[k] for k in after}
+            == {"value_at": 1, "value_grad_at": 1, "grad_at": 0})
 
 
 def _record_reprs(res):
@@ -612,6 +614,43 @@ def test_snapshots_carry_exact_forward_products():
              adca_run(prob, L, 3, stop, x0=x0, keep_states=True)]
     for res in runs:
         assert len(res.states) == 60
+        assert all(snap.z.tobytes() == (A @ snap.x).tobytes() for snap in res.states)
+
+
+def test_poisson_start_length_checked():
+    pdata, _ = gen_poisson_cs(n=10, m=5, k_nonzeros=2, amp_max=100.0, rng=0)
+    prob = build_poisson_problem(pdata)
+    with pytest.raises(ValueError, match="start point must have 10 entries"):
+        spdcae_run(prob, SolverConfig(), StoppingRule(max_iter=5), x0=np.ones(9))
+
+
+def _nnls_problem():
+    # the first NNLS instance of the convex-crit benchmark workload
+    rng = np.random.default_rng([0, 1, 0])
+    A = rng.standard_normal((100, 40))
+    y = rng.standard_normal(100)
+    return DcProblem(f=least_squares_smooth(A, y), g=l1_nonneg_proximable(0.0),
+                     h=zero_concave(), feasible_set=nonnegative_orthant()), A
+
+
+def test_orthant_snapshots_carry_exact_forward_products():
+    # on the orthant A y comes by linearity or, after a clip, from a product;
+    # either way z is A x computed from x, bit for bit
+    config = bench.RunConfig.from_dict({
+        "problem": {"kind": "poisson-synthetic", "n": 500, "m": 100,
+                    "k_nonzeros": 5, "data_seed": 0},
+        "solvers": [{"name": "spdcae1"}], "tolerances": [1e-3], "seeds": [0]})
+    base = bench._build_base(config.problem)
+    prob, x0 = bench._instance(base, 0)
+    poisson = spdcae_run(prob, bench._profile("spdcae1", "poisson", {}),
+                         StoppingRule(max_iter=300), x0=x0, keep_states=True)
+    nnls, A_nnls = _nnls_problem()
+    cfg = SolverConfig(backtrack=BacktrackConfig(mode="monotone"))
+    convex = sfista_run(nnls, cfg, StoppingRule(max_iter=5000, crit_tol=1e-8),
+                        x0=np.zeros(40), keep_states=True)
+    assert convex.stop_reason == "crit_tol"
+    for res, A in ((poisson, base.data.A), (convex, A_nnls)):
+        assert res.states
         assert all(snap.z.tobytes() == (A @ snap.x).tobytes() for snap in res.states)
 
 
