@@ -11,7 +11,7 @@ from .accel import BetaSchedule, theta_next
 from .bench import (BenchResult, ConfigError, RunConfig, SummaryRow,
                     read_summary_csv, read_trace_csv, run_matrix,
                     write_trace_csv)
-from .datasets import (ParseError, RngSpec, gen_logreg, gen_poisson_cs,
+from .datasets import (ParseError, gen_logreg, gen_poisson_cs,
                        load_dataset_json, make_rng, poisson_sample,
                        read_libsvm, resample_counts, save_dataset_json,
                        write_libsvm)
@@ -24,15 +24,14 @@ from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
                      gamma, growth_factor, identity_metric)
 from .poisson import (PoissonCsData, build_poisson_problem, kl_split,
-                      kl_value_grad, l1_nonneg_proximable,
-                      l1_nonneg_scaled_prox)
+                      l1_nonneg_proximable, l1_nonneg_scaled_prox)
 from .problem import (ConcavePartOracle, DcProblem, EvaluationDomainError,
-                      FeasibleSet, ProximableOracle, SmoothOracle, box,
+                      FeasibleSet, ProximableOracle, SmoothOracle,
                       criticality_residual, least_squares_smooth,
                       nonnegative_orthant, objective, quadratic_smooth,
                       whole_space, zero_concave, zero_proximable)
 from .solver import (RunResult, SolverConfig, StoppingRule, TraceRecord,
-                     adca_run, descent_inequality_slacks, descent_slack,
+                     adca_run, descent_inequality_slacks,
                      extrapolation_slacks, pdcae_run, relative_error,
                      sfista_lyapunov, sfista_run, spdcae_run)
 
@@ -43,14 +42,13 @@ __all__ = [
     "ConcavePartOracle", "ConfigError", "DcProblem", "DiagonalMetric",
     "EvaluationDomainError", "FeasibleSet", "IdentityMetricProvider",
     "IterateState", "LineSearchError", "LogRegData", "ParseError",
-    "PoissonCsData", "ProximableOracle", "RngSpec", "RunConfig", "RunResult",
+    "PoissonCsData", "ProximableOracle", "RunConfig", "RunResult",
     "SmoothOracle", "SolverConfig", "SplitGradientMetricProvider",
     "StoppingRule", "SummaryRow", "TraceRecord", "adca_run", "backtrack_step",
-    "box", "build_logreg_problem", "build_poisson_problem",
-    "criticality_residual",
-    "descent_inequality_slacks", "descent_slack", "extrapolation_slacks",
+    "build_logreg_problem", "build_poisson_problem", "criticality_residual",
+    "descent_inequality_slacks", "extrapolation_slacks",
     "gamma", "gen_logreg", "gen_poisson_cs", "growth_factor",
-    "identity_metric", "initial_L", "kl_split", "kl_value_grad",
+    "identity_metric", "initial_L", "kl_split",
     "l1_nonneg_proximable", "l1_nonneg_scaled_prox", "l1_proximable",
     "l1_scaled_prox", "l2_concave", "l2_subgradient", "least_squares_smooth",
     "load_dataset_json", "logistic_lipschitz_bound",

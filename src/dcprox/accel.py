@@ -58,7 +58,6 @@ class BetaSchedule:
     family: str = "fixed-adaptive-restart"
     delta: float = 0.99
     T2: int = 200
-    legacy_divisibility: bool = False
     theta: float = 1.0
     t_prev: float = 0.0
     classical: bool = False
@@ -89,11 +88,7 @@ class BetaSchedule:
         """Apply the restart rule after iteration k; True when theta was reset."""
         if self.family not in ("fixed-restart", "fixed-adaptive-restart"):
             return False
-        if self.legacy_divisibility:
-            # Literal reading: period divisible by the counter.
-            restarted = self.T2 % k == 0
-        else:
-            restarted = k % self.T2 == 0
+        restarted = k % self.T2 == 0
         if not restarted and self.family == "fixed-adaptive-restart":
             # Momentum turned against the last step: plain inner product test.
             restarted = float(np.dot(x_k - x_prev, y_k - x_k)) > 0.0

@@ -53,6 +53,13 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_seed(value) -> int:
+    """A nonnegative JSON integer, as the seeded generators take."""
+    if _json_int(value) < 0:
+        raise ValueError(f"not a nonnegative integer: {value!r}")
+    return value
+
+
 def _json_float(value) -> float:
     """A finite JSON number; booleans, strings and NaN are not values."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -192,8 +199,7 @@ def _adca_solver(name: str, family: Optional[str], options: dict):
 _SOLVERS = {
     **dict.fromkeys(("spdcae1", "spdcae0", "pdcae1", "pdcae0"), ({
         **_BACKTRACK_KEYS, "beta_family": str, "delta": _json_float,
-        "T2": _json_int, "legacy_restart_divisibility": _json_bool,
-        "metric": str, "epsilon": _json_float,
+        "T2": _json_int, "metric": str, "epsilon": _json_float,
         "clamp_numerator": _json_float}, _line_search_solver)),
     "pdcae": ({"L": _json_float, "beta_family": str, "T2": _json_int},
               _pdcae_solver),
@@ -226,6 +232,13 @@ def _build_solvers(config: "RunConfig", family: Optional[str]):
                                "reference solver")
 
 
+def _reject_repeat(items: list, what: str) -> None:
+    """A ConfigError naming the first item of ``items`` listed twice."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{what} {item!r} is listed more than once")
+
+
 @dataclass
 class RunConfig:
     """Validated benchmark configuration."""
@@ -249,11 +262,15 @@ class RunConfig:
         for s in self.solvers:
             if not isinstance(s, dict) or "name" not in s:
                 raise ConfigError("each solver entry needs a 'name'")
+        # a name keys its runs, trace files and summary rows
+        _reject_repeat([s["name"] for s in self.solvers], "solver")
         _build_solvers(self, _KIND_FAMILY[self.problem["kind"]])
-        for name in ("max_iter", "reference_iterations", "reference_seed"):
+        for name in ("max_iter", "reference_iterations"):
             _parsed(getattr(self, name), _json_int, repr(name))
+        _parsed(self.reference_seed, _json_seed, "'reference_seed'")
         for seed in self.seeds:
-            _parsed(seed, _json_int, "'seeds'")
+            _parsed(seed, _json_seed, "'seeds'")
+        _reject_repeat(self.seeds, "seed")
         for tol in self.tolerances:
             _parsed(tol, _json_float, "'tolerances'")
         if not self.tolerances or any(t <= 0.0 for t in self.tolerances):
@@ -429,10 +446,12 @@ class BenchResult:
 def run_matrix(config: RunConfig) -> BenchResult:
     """Run every (solver, seed) cell and aggregate first-hit statistics.
 
-    When ``config.out_dir`` is set, writes one trace CSV per cell plus
-    ``summary.csv`` and ``summary.json``.
+    When ``config.out_dir`` is set, creates it before the first solve and
+    writes one trace CSV per cell plus ``summary.csv`` and ``summary.json``.
     """
     base, solvers, reference = _setup(config)
+    if config.out_dir:
+        os.makedirs(config.out_dir, exist_ok=True)
     shared_ref: Optional[Tuple[float, int, str]] = None
     if base.kind == "logreg":
         shared_ref = _reference_value(config, reference, base,
@@ -556,7 +575,8 @@ def read_trace_csv(path) -> List[TraceRecord]:
 
 
 def write_outputs(config: RunConfig, result: BenchResult) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
+    """The trace and summary files of ``result`` in the existing directory
+    ``config.out_dir``."""
     for (name, seed), run in result.runs.items():
         write_trace_csv(os.path.join(config.out_dir, f"trace_{name}_{seed}.csv"),
                         run.trace)

@@ -4,8 +4,8 @@ Subcommands: ``gen`` writes a synthetic dataset to JSON, ``ref`` computes a
 reference objective value for a run configuration (with the iteration
 count and stop reason of the run behind it), ``bench`` runs the full
 (solver, seed) matrix and writes trace/summary files, ``check`` audits trace
-and summary CSVs.  Exit codes: 0 success, 2 configuration error, 3 solver or
-audit failure.
+and summary CSVs.  Exit codes: 0 success, 2 configuration error or an output
+path that cannot be written, 3 solver or audit failure.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LineSearchError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,28 +28,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Reproducible generator spec: counter-based algorithm plus 64-bit seed."""
-
-    seed: int
-    algorithm: str = "philox"
-
-    def generator(self) -> np.random.Generator:
-        if self.algorithm == "philox":
-            return np.random.Generator(np.random.Philox(self.seed))
-        if self.algorithm == "pcg64":
-            return np.random.Generator(np.random.PCG64(self.seed))
-        raise ValueError(f"unknown rng algorithm: {self.algorithm!r}")
-
-
 def make_rng(rng) -> np.random.Generator:
-    """Coerce an int seed, an RngSpec, or a Generator into a Generator."""
+    """A Generator as is; an int seed as the counter-based Philox generator
+    of that seed."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngSpec):
-        return rng.generator()
-    return RngSpec(int(rng)).generator()
+    return np.random.Generator(np.random.Philox(int(rng)))
 
 
 # --- sparse classification text format -------------------------------------

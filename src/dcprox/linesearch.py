@@ -77,15 +77,13 @@ class IterateState:
 
     Holds the two most recent iterates (equal at the start) with ``z_prev``
     = A x_prev and ``z_prev2`` = A x_prev2, each computed from its iterate,
-    the subgradient of the concave part at the newest one, and the last
-    accepted curvature estimate.
+    and the last accepted curvature estimate.
     """
 
     x_prev: Array
     x_prev2: Array
     z_prev: Array
     z_prev2: Array
-    h_prev: Array | None = None
     L_prev: float = 1.0
     k: int = 1
 
@@ -94,15 +92,13 @@ class IterateState:
 class IterationSnapshot:
     """Accepted iteration k, as every step policy returns it and the loop
     keeps it: x with z = A x and f = f(x), from the prox step of size
-    t = 1/L in the metric at y with the h-subgradient h_prev; beta and theta
-    gave y.
+    t = 1/L in the metric at y; beta and theta gave y.
     """
 
     k: int
     x: Array
     f: float
     y: Array
-    h_prev: Array
     t: float
     L: float
     beta: float
@@ -178,7 +174,7 @@ def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
 
 
 def backtrack_step(problem: DcProblem, config: BacktrackConfig,
-                   state: IterateState, beta_provider,
+                   state: IterateState, h: Array, beta_provider,
                    metric_provider) -> IterationSnapshot:
     """Run one outer iteration's inner loop and return the accepted trial.
 
@@ -188,13 +184,12 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     extrapolated point (classical weights do not depend on t) and only
     re-solves the prox subproblem.  On acceptance the providers are committed,
     ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
-    grad_y)``; the restart rule is left to the caller.  ``state.h_prev`` must
-    hold the subgradient of h at ``state.x_prev``.  The smooth term is called
+    grad_y)``; the restart rule is left to the caller.  ``h`` is the
+    subgradient of h at ``state.x_prev``.  The smooth term is called
     once per extrapolated point (``extrapolate``) and once per trial point
     (``prox_trial``).
     """
     k = state.k
-    h_prev = state.h_prev
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)
     monotone = config.mode == "monotone"
 
@@ -204,13 +199,13 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
             beta, theta = beta_provider.propose(t)
             y, f_y, grad_y = extrapolate(problem, state, beta)
             D = metric_provider.trial(k, y, grad_y)
-        x_new, z_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h_prev, t, D)
+        x_new, z_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h, t, D)
         if ok:
             beta_provider.commit(theta, t)
             metric_provider.accept(k, grad_y)
-            return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, h_prev=h_prev,
-                                     t=t, L=L, beta=beta, theta=theta,
-                                     metric=D, n_backtracks=i, z=z_new)
+            return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, t=t, L=L,
+                                     beta=beta, theta=theta, metric=D,
+                                     n_backtracks=i, z=z_new)
         L = config.eta * L
 
     raise LineSearchError(

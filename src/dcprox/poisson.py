@@ -103,20 +103,6 @@ def _kl_value_grad_at(data: PoissonCsData, z: Array) -> tuple[float, Array]:
     return _kl_at(data, c), data.A.T @ (1.0 - data.b / c)
 
 
-def kl_value(data: PoissonCsData, x: Array) -> float:
-    """KL divergence between counts and model intensity c = A x + bg."""
-    return _kl_at(data, _intensity(data, _forward(data, x)))
-
-
-def kl_value_grad(data: PoissonCsData, x: Array) -> tuple[float, Array]:
-    """KL divergence between counts and model intensity, with its gradient.
-
-    value = sum_i b_i log(b_i / c_i) + c_i - b_i with c = A x + bg; terms with
-    b_i = 0 contribute c_i.  grad = A^T (1 - b / c).
-    """
-    return _kl_value_grad_at(data, _forward(data, x))
-
-
 def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
     """Split -grad KL(x) = U - V into U = A^T(b/c) >= 0 and V = A^T 1 > 0.
 
@@ -133,7 +119,11 @@ def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
 
 def kl_smooth(data: PoissonCsData) -> SmoothOracle:
     """The KL term at z = A x, with c = z + bg checked strictly positive;
-    x >= 0 is left to the feasible set."""
+    x >= 0 is left to the feasible set.
+
+    value = sum_i b_i log(b_i / c_i) + c_i - b_i, where terms with b_i = 0
+    contribute c_i; grad = A^T (1 - b / c).
+    """
     return SmoothOracle(data.A, lambda z: _kl_at(data, _intensity(data, z)),
                         functools.partial(_kl_value_grad_at, data),
                         lambda z: _kl_value_grad_at(data, z)[1])

@@ -87,43 +87,28 @@ class ConcavePartOracle:
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Closed convex constraint set of a supported separable kind.
+    """Closed convex constraint set: the whole space or the nonnegative
+    orthant.
 
-    Supported kinds are componentwise separable, so the projection in any
-    diagonal metric is the Euclidean one and ``scaled_project`` takes none.
+    Both are componentwise separable, so the projection in any diagonal
+    metric is the Euclidean one and ``scaled_project`` takes none.
     """
 
-    kind: str  # whole-space | nonnegative-orthant | box
-    lo: Array | float | None = None
-    hi: Array | float | None = None
+    kind: str  # whole-space | nonnegative-orthant
 
     def __post_init__(self):
-        if self.kind not in ("whole-space", "nonnegative-orthant", "box"):
+        if self.kind not in ("whole-space", "nonnegative-orthant"):
             raise ValueError(f"unsupported feasible set kind: {self.kind!r}")
-        if self.kind == "box":
-            if self.lo is None or self.hi is None:
-                raise ValueError("box set needs lo and hi")
-            lo, hi = np.asarray(self.lo), np.asarray(self.hi)
-            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-                raise ValueError("box set needs lo and hi without NaN")
-            if np.any(lo > hi):
-                raise ValueError("box set needs lo <= hi")
 
     def scaled_project(self, v: Array) -> Array:
-        """The projection of v; v itself when it clips nothing on the whole
-        space or the orthant, so callers can test ``is``."""
-        if self.kind == "whole-space":
+        """The projection of v; v itself when it clips nothing, so callers
+        can test ``is``."""
+        if self.kind == "whole-space" or _smallest(v) >= 0.0:
             return v
-        if self.kind == "nonnegative-orthant":
-            return v if _smallest(v) >= 0.0 else np.maximum(v, 0.0)
-        return np.clip(v, self.lo, self.hi)
+        return np.maximum(v, 0.0)
 
     def contains(self, v: Array) -> bool:
-        if self.kind == "whole-space":
-            return True
-        if self.kind == "nonnegative-orthant":
-            return bool(np.all(v >= 0.0))
-        return bool(np.all(v >= self.lo) and np.all(v <= self.hi))
+        return self.kind == "whole-space" or bool(np.all(v >= 0.0))
 
 
 def whole_space() -> FeasibleSet:
@@ -132,10 +117,6 @@ def whole_space() -> FeasibleSet:
 
 def nonnegative_orthant() -> FeasibleSet:
     return FeasibleSet("nonnegative-orthant")
-
-
-def box(lo, hi) -> FeasibleSet:
-    return FeasibleSet("box", lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ theta schedule.  ``pdcae_run`` takes a fixed step with the identity metric
 and restarted weights, and ``adca_run`` a fixed step that gates
 extrapolation on recent objective values.  The loop records the trace and
 snapshots and stops with reason "nonfinite" (the accepted objective is not
-finite), "f_target", "rel_tol", "crit_tol" or "stalled" (no new lowest
-objective for a set number of iterations), tested in that order, or
-"max_iter".  Audit helpers re-check the per-iteration inequalities the
-analysis relies on, from recorded iteration snapshots.
+finite), "rel_tol", "crit_tol" or "stalled" (no new lowest objective for a
+set number of iterations), tested in that order, or "max_iter".  Audit
+helpers re-check the per-iteration inequalities the analysis relies on,
+from recorded iteration snapshots.
 """
 
 from __future__ import annotations
@@ -41,16 +41,14 @@ Array = np.ndarray
 class StoppingRule:
     """Disjunction of stopping conditions checked after each iteration.
 
-    Any satisfied clause stops the run: the iteration cap, an absolute
-    objective target, a relative error against a supplied reference value
-    (absolute difference when the reference is nonpositive), a threshold
-    on the fixed-point criticality residual, or ``stall_iters`` accepted
-    iterations in a row without an objective strictly below the lowest
-    seen so far.
+    Any satisfied clause stops the run: the iteration cap, a relative error
+    against a supplied reference value (absolute difference when the
+    reference is nonpositive), a threshold on the fixed-point criticality
+    residual, or ``stall_iters`` accepted iterations in a row without an
+    objective strictly below the lowest seen so far.
     """
 
     max_iter: int = 10000
-    f_target: float | None = None
     ref_value: float | None = None
     rel_tol: float | None = None
     crit_tol: float | None = None
@@ -61,7 +59,7 @@ class StoppingRule:
             raise ValueError("iteration cap must be nonnegative")
         if self.stall_iters is not None and self.stall_iters < 1:
             raise ValueError("stall window must be at least one iteration")
-        for name in ("f_target", "ref_value", "rel_tol", "crit_tol"):
+        for name in ("ref_value", "rel_tol", "crit_tol"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -124,7 +122,6 @@ class SolverConfig:
     beta_family: str = "fixed-adaptive-restart"
     delta: float = 0.99
     T2: int = 200
-    legacy_restart_divisibility: bool = False
     metric: str = "identity"  # identity | adagrad | split-gradient
     epsilon: float = 1e-6
     clamp_numerator: float = 1e13
@@ -137,9 +134,7 @@ class SolverConfig:
 
 def _make_beta_schedule(config: SolverConfig) -> BetaSchedule:
     return BetaSchedule(family=config.beta_family, delta=config.delta,
-                        T2=config.T2,
-                        legacy_divisibility=config.legacy_restart_divisibility,
-                        classical=config.backtrack.mode == "monotone")
+                        T2=config.T2, classical=config.backtrack.mode == "monotone")
 
 
 def _make_metric_provider(config: SolverConfig, problem: DcProblem):
@@ -173,8 +168,6 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
                  since_low: int) -> str | None:
     if not math.isfinite(F):
         return "nonfinite"
-    if stop.f_target is not None and F <= stop.f_target:
-        return "f_target"
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
         return "rel_tol"
     if stop.crit_tol is not None and criticality_residual(
@@ -263,8 +256,8 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
     metric_provider = _make_metric_provider(config, problem)
 
     def step(state: IterateState) -> IterationSnapshot:
-        state.h_prev = problem.h.subgrad(state.x_prev)
         s = backtrack_step(problem, config.backtrack, state,
+                           problem.h.subgrad(state.x_prev),
                            beta_schedule, metric_provider)
         s.restarted = beta_schedule.finish_iteration(state.k, s.x, state.x_prev, s.y)
         return s
@@ -309,9 +302,8 @@ def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
             warnings.warn(f"{where}: fixed step violates the descent bound; "
                           "the supplied curvature constant is likely too small",
                           RuntimeWarning, stacklevel=5)
-        return IterationSnapshot(k=k, x=x_new, f=f_new, y=base, h_prev=h, t=t,
-                                 L=L_fixed, beta=beta, theta=theta, metric=D,
-                                 z=z_new)
+        return IterationSnapshot(k=k, x=x_new, f=f_new, y=base, t=t, L=L_fixed,
+                                 beta=beta, theta=theta, metric=D, z=z_new)
 
     return x0, t, prox_step
 
@@ -385,25 +377,15 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
 
 # --- audits ----------------------------------------------------------------
 
-def descent_slack(problem: DcProblem, x: Array, h_x: Array, y: Array,
-                  y_bar: Array, t: float, D: DiagonalMetric) -> float:
-    """Slack of the one-step comparison bound, nonnegative when exact.
-
-    For y_bar produced by the scaled proximal step at y with the subgradient
-    h_x taken at x, the bound reads
-    F(y_bar) <= F(x) + ||x - y||_D^2/(2t) - ||x - y_bar||_D^2/(2t);
-    returned is rhs - lhs.  ``h_x`` documents the linearization the step used
-    and is not re-derived here.
-    """
-    if t <= 0.0:
-        raise ValueError("step size must be positive")
-    return _slack(objective(problem, x), objective(problem, y_bar), x, y,
-                  y_bar, t, D)
-
-
 def _slack(F_x: float, F_y_bar: float, x: Array, y: Array, y_bar: Array,
            t: float, D: DiagonalMetric) -> float:
-    """``descent_slack`` from the known values F(x) and F(y_bar)."""
+    """Slack of the one-step comparison bound, nonnegative when exact.
+
+    For y_bar produced by the scaled proximal step at y, with F(x) and
+    F(y_bar) known, the bound reads
+    F(y_bar) <= F(x) + ||x - y||_D^2/(2t) - ||x - y_bar||_D^2/(2t);
+    returned is rhs - lhs.
+    """
     rhs = F_x + (D.norm_sq(x - y) - D.norm_sq(x - y_bar)) / (2.0 * t)
     return rhs - F_y_bar
 

@@ -58,11 +58,9 @@ def test_beta_contract_validation():
         BetaSchedule(family="contract", delta=0.5).propose(0.0)
 
 
-def _advanced(family, T2, legacy_divisibility=False):
+def _advanced(family, T2):
     """Schedule whose last committed pair is (GOLDEN, THETA3)."""
-    return BetaSchedule(family=family, T2=T2,
-                        legacy_divisibility=legacy_divisibility,
-                        theta=THETA3, t_prev=1.0)
+    return BetaSchedule(family=family, T2=T2, theta=THETA3, t_prev=1.0)
 
 
 def test_beta_restart_fixed_period():
@@ -78,11 +76,16 @@ def test_beta_restart_fixed_period():
     assert sched.propose(1.0)[0] == 0.0
 
 
-def test_beta_restart_legacy_divisibility():
-    # the flipped test fires whenever the counter divides the period
+def test_beta_restart_fires_on_every_multiple_of_the_period():
+    sched = BetaSchedule(family="fixed-restart", T2=3)
     z = np.zeros(1)
-    assert _advanced("fixed-restart", 200, True).finish_iteration(5, z, z, z)
-    assert not _advanced("fixed-restart", 200, True).finish_iteration(3, z, z, z)
+    restarts = []
+    for k in range(1, 11):
+        _, th = sched.propose(1.0)
+        sched.commit(th, 1.0)
+        if sched.finish_iteration(k, z, z, z):
+            restarts.append(k)
+    assert restarts == [3, 6, 9]
 
 
 def test_beta_restart_adaptive_trigger():

@@ -201,6 +201,61 @@ def test_check_reports_unreadable_csv(tmp_path, capsys, flag, text):
     assert "unreadable" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys, rc, named):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
+@pytest.mark.parametrize("command", ["ref", "bench"])
+@pytest.mark.parametrize("over, named", [
+    # a name keys its runs, trace file and summary rows
+    (dict(solvers=[{"name": "spdcae1"}, {"name": "spdcae1", "eta": 5.0}]),
+     "solver 'spdcae1' is listed more than once"),
+    # a repeated seed would be solved and counted twice
+    (dict(seeds=[0, 0, 1]), "seed 0 is listed more than once"),
+    (dict(seeds=[-1]), "invalid value -1 of 'seeds'"),
+    (dict(reference_seed=-3), "invalid value -3 of 'reference_seed'"),
+], ids=["repeated-solver", "repeated-seed", "negative-seed",
+        "negative-reference-seed"])
+def test_bad_seed_or_repeat_exits_2_before_any_solve(tmp_path, capsys, no_solves,
+                                                     command, over, named):
+    cfg = _write_config(tmp_path / "cfg.json", **over)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    _assert_one_line_error(capsys, rc, named)
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_seed_flag_exits_2(tmp_path, capsys, no_solves):
+    cfg = _write_config(tmp_path / "cfg.json")
+    rc = main(["bench", "--config", str(cfg), "--seed", "2", "--seed", "2"])
+    _assert_one_line_error(capsys, rc, "seed 2 is listed more than once")
+
+
+def test_bench_out_that_is_a_file_exits_2_before_any_solve(tmp_path, capsys,
+                                                          no_solves):
+    cfg = _write_config(tmp_path / "cfg.json")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["bench", "--config", str(cfg), "--out", str(taken)])
+    _assert_one_line_error(capsys, rc, str(taken))
+
+
+def test_gen_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["gen", "--kind", "logreg-synthetic", "--m", "5", "--n", "3",
+               "--out", str(out)])
+    _assert_one_line_error(capsys, rc, str(out))
+
+
+def test_ref_out_in_missing_directory_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["ref", "--config", str(cfg), "--out", str(out)])
+    _assert_one_line_error(capsys, rc, str(out))
+
+
 def test_bench_max_iter_zero_is_config_error(tmp_path, capsys, no_solves):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["bench", "--config", str(cfg), "--max-iter", "0"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dcprox.datasets import (ParseError, RngSpec, gen_logreg, gen_poisson_cs,
+from dcprox.datasets import (ParseError, gen_logreg, gen_poisson_cs,
                              load_dataset_json, make_rng, poisson_sample,
                              read_libsvm, resample_counts, save_dataset_json,
                              write_libsvm)
@@ -74,12 +74,18 @@ def test_libsvm_width_override_and_blank_lines(tmp_path):
 # --- random generation -----------------------------------------------------------
 
 def test_rng_spec_determinism():
-    a = make_rng(RngSpec(seed=3)).random(4)
-    b = make_rng(RngSpec(seed=3)).random(4)
-    assert np.array_equal(a, b)
-    c = make_rng(RngSpec(seed=3, algorithm="pcg64")).random(4)
-    assert not np.array_equal(a, c)
+    a = make_rng(3).random(4)
+    assert np.array_equal(a, make_rng(3).random(4))
+    assert not np.array_equal(a, make_rng(4).random(4))
     assert np.array_equal(make_rng(5).random(3), make_rng(5).random(3))
+    gen = np.random.default_rng(1)
+    assert make_rng(gen) is gen
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40, np.int64(7)])
+def test_int_seed_is_the_philox_generator_bit_for_bit(seed):
+    want = np.random.Generator(np.random.Philox(int(seed)))
+    assert make_rng(seed).bytes(256) == want.bytes(256)
 
 
 def test_poisson_sample_edge_cases():

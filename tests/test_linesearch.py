@@ -20,12 +20,15 @@ def _quad_problem(curvature=4.0):
                      feasible_set=whole_space())
 
 
-def _state(prob, x, h=0.0):
+def _state(prob, x):
     """The state entering iteration 1 from the one-entry start [x]."""
     x0 = np.array([x])
     z0 = prob.f.A @ x0
     return IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0,
-                        h_prev=np.array([h]), L_prev=1.0, k=1)
+                        L_prev=1.0, k=1)
+
+
+NO_H = np.zeros(1)  # the subgradient of h = 0
 
 
 def test_config_validation():
@@ -95,7 +98,7 @@ def test_backtrack_doubles_until_curvature():
     prob = _quad_problem(curvature=4.0)
     cfg = BacktrackConfig(mode="nonmonotone", eta=2.0, L_init=1.0)
     state = _state(prob, 1.0)
-    out = backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
+    out = backtrack_step(prob, cfg, state, NO_H, BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert out.n_backtracks == 2
     assert out.L == 4.0
@@ -115,7 +118,7 @@ def test_backtrack_exhaustion_raises_with_context():
     cfg = BacktrackConfig(mode="nonmonotone", max_inner=5, L_init=1.0)
     state = _state(prob, 1.0)
     with pytest.raises(LineSearchError) as exc_info:
-        backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
+        backtrack_step(prob, cfg, state, NO_H, BetaSchedule(family="none"),
                        IdentityMetricProvider())
     err = exc_info.value
     assert isinstance(err, RuntimeError)
@@ -143,7 +146,7 @@ def test_monotone_evaluates_metric_once_per_iteration():
     state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="monotone", L_init=1.0), state,
-                   BetaSchedule(family="none"), counter)
+                   NO_H, BetaSchedule(family="none"), counter)
     assert counter.trials == 1
 
 
@@ -152,16 +155,16 @@ def test_nonmonotone_reevaluates_metric_per_trial():
     state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0), state,
-                   BetaSchedule(family="none"), counter)
+                   NO_H, BetaSchedule(family="none"), counter)
     assert counter.trials == 3  # L = 1, 2, 4
 
 
 def test_concave_shift_enters_step():
     # h' acts as a constant shift of the gradient: x = y - t (grad - h')
     prob = _quad_problem(curvature=1.0)  # f = x^2/2, grad = x, L_true = 1
-    state = _state(prob, 2.0, h=1.0)
+    state = _state(prob, 2.0)
     out = backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0),
-                         state, BetaSchedule(family="none"),
+                         state, np.array([1.0]), BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert np.allclose(out.x, [1.0])
     assert out.n_backtracks == 0

@@ -6,15 +6,15 @@ from conftest import finite_diff_grad
 
 from dcprox.datasets import gen_poisson_cs
 from dcprox.metric import DiagonalMetric
-from dcprox.poisson import (PoissonCsData, build_poisson_problem, kl_split,
-                            kl_value, kl_value_grad, l1_nonneg_proximable,
+from dcprox.poisson import (PoissonCsData, build_poisson_problem, kl_smooth,
+                            kl_split, l1_nonneg_proximable,
                             l1_nonneg_scaled_prox)
 from dcprox.problem import EvaluationDomainError, objective
 
 
 def test_single_cell_frozen_values():
     data = PoissonCsData(A=np.array([[1.0]]), b=np.array([2.0]), bg=0.5)
-    v, g = kl_value_grad(data, np.array([0.5]))
+    v, g = kl_smooth(data).value_grad(np.array([0.5]))
     assert v == pytest.approx(0.3862943611198906, rel=1e-14)
     assert g == pytest.approx(np.array([-1.0]), rel=1e-14)
 
@@ -22,18 +22,19 @@ def test_single_cell_frozen_values():
 def test_zero_count_rows_contribute_intensity_only():
     data = PoissonCsData(A=np.array([[1.0], [2.0]]), b=np.array([0.0, 0.0]),
                          bg=0.25)
-    v, g = kl_value_grad(data, np.array([1.0]))
+    v, g = kl_smooth(data).value_grad(np.array([1.0]))
     assert v == pytest.approx((1.0 + 0.25) + (2.0 + 0.25), rel=1e-14)
     assert g == pytest.approx(np.array([3.0]), rel=1e-14)
 
 
 def test_gradient_matches_finite_differences():
     data, _ = gen_poisson_cs(n=20, m=8, k_nonzeros=3, amp_max=50.0, rng=4)
+    f = kl_smooth(data)
     rng = np.random.default_rng(1)
     for _ in range(5):
         x = rng.uniform(0.5, 3.0, 20)
-        _, g = kl_value_grad(data, x)
-        fd = finite_diff_grad(lambda z: kl_value_grad(data, z)[0], x, step=1e-7)
+        _, g = f.value_grad(x)
+        fd = finite_diff_grad(f.eval, x, step=1e-7)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -42,7 +43,7 @@ def test_split_recomposes_negative_gradient():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(0.0, 2.0, 25)
-        _, g = kl_value_grad(data, x)
+        g = kl_smooth(data).grad(x)
         U, V = kl_split(data, x)
         scale = np.maximum(1.0, np.abs(g))
         assert np.max(np.abs((U - V) + g) / scale) <= 1e-12
@@ -52,8 +53,6 @@ def test_split_recomposes_negative_gradient():
 
 def test_negative_point_rejected():
     data = PoissonCsData(A=np.array([[1.0]]), b=np.array([1.0]))
-    with pytest.raises(EvaluationDomainError):
-        kl_value_grad(data, np.array([-0.1]))
     with pytest.raises(EvaluationDomainError):
         kl_split(data, np.array([-0.1]))
 
@@ -75,12 +74,13 @@ def test_kl_matches_direct_formula_bit_for_bit():
     points = [np.zeros(30), np.ones(30)]
     points += [rng.uniform(0.0, scale, 30) for scale in (1e-3, 1.0, 1e4)
                for _ in range(4)]
+    f = kl_smooth(data)
     for x in points:
         c = A @ x + data.bg
         want = float(np.sum(c) - np.sum(b) + np.sum(b[pos] * np.log(b[pos] / c[pos])))
-        v, g = kl_value_grad(data, x)
+        v, g = f.value_grad(x)
         assert v == want
-        assert kl_value(data, x) == want
+        assert f.eval(x) == want
         assert np.array_equal(g, A.T @ (1.0 - b / c))
 
 
@@ -89,22 +89,23 @@ def test_constants_follow_the_counts_through_replace():
     copy = dataclasses.replace(data)
     assert np.array_equal(copy.pos, data.pos) and copy.b_sum == data.b_sum
     x = np.full(30, 0.5)
-    assert kl_value(copy, x) == kl_value(data, x)
+    assert kl_smooth(copy).eval(x) == kl_smooth(data).eval(x)
     recount = dataclasses.replace(data, b=data.b + 1.0)
     assert recount.b_sum == np.sum(data.b + 1.0) and recount.pos.all()
-    assert kl_value(recount, x) == kl_value(PoissonCsData(A=data.A, b=data.b + 1.0,
-                                                          bg=data.bg), x)
+    fresh = PoissonCsData(A=data.A, b=data.b + 1.0, bg=data.bg)
+    assert kl_smooth(recount).eval(x) == kl_smooth(fresh).eval(x)
 
 
 def test_nan_point_gives_nan_value_and_negative_entry_still_rejected():
     data = PoissonCsData(A=np.array([[1.0, 2.0]]), b=np.array([3.0]))
     nan_point = np.array([np.nan, 1.0])
-    assert np.isnan(kl_value(data, nan_point))
-    assert np.isnan(kl_value_grad(data, nan_point)[0])
+    f = kl_smooth(data)
+    assert np.isnan(f.eval(nan_point))
+    assert np.isnan(f.value_grad(nan_point)[0])
     # a negative entry is rejected wherever a NaN sits
     for x in (np.array([np.nan, -1.0]), np.array([-1.0, np.nan])):
         with pytest.raises(EvaluationDomainError):
-            kl_value_grad(data, x)
+            kl_split(data, x)
     g = l1_nonneg_proximable(0.5)
     assert np.isnan(g.eval(nan_point))
     assert g.eval(np.array([np.nan, -1.0])) == np.inf
@@ -158,7 +159,7 @@ def test_problem_assembly_and_domain_guard():
     col_sums = np.asarray(data.A.sum(axis=0)).ravel()
     assert np.allclose(prob.split_denominator, col_sums, rtol=1e-12)
     x = np.random.default_rng(5).uniform(0.0, 1.0, 15)
-    v, _ = kl_value_grad(data, x)
+    v = kl_smooth(data).eval(x)
     want = v + data.lam * x.sum() - data.lam * np.linalg.norm(x)
     assert objective(prob, x) == pytest.approx(want, rel=1e-13)
     # infinite g short-circuits before the smooth part can raise

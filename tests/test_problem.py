@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import finite_diff_grad
 
-from dcprox.problem import (DcProblem, EvaluationDomainError, box,
+from dcprox.problem import (DcProblem, EvaluationDomainError,
                             criticality_residual, least_squares_smooth,
                             nonnegative_orthant, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
@@ -24,14 +24,6 @@ def test_orthant_projection_clamps():
     assert Y.contains(np.array([0.0, 2.0]))
 
 
-@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan),
-                                    (np.array([0.0, np.nan]), 1.0)])
-def test_box_rejects_nan_bounds(lo, hi):
-    # lo > hi is False for NaN, so only an explicit check catches it
-    with pytest.raises(ValueError, match="NaN"):
-        box(lo, hi)
-
-
 def test_least_squares_checks_shapes_when_built():
     with pytest.raises(ValueError, match="2-d"):
         least_squares_smooth(np.ones(3), np.ones(3))
@@ -42,14 +34,6 @@ def test_least_squares_checks_shapes_when_built():
         A = np.matrix(np.eye(3))
     f = least_squares_smooth(A, np.ones(3))
     assert f.value_grad(np.zeros(3))[0] == 1.5
-
-
-def test_box_projection():
-    Y = box(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-    v = np.array([2.0, -5.0])
-    assert np.array_equal(Y.scaled_project(v), [1.0, -1.0])
-    assert Y.contains(np.array([0.5, 0.0]))
-    assert not Y.contains(v)
 
 
 def test_objective_short_circuits_on_infinite_g():

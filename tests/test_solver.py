@@ -18,7 +18,7 @@ from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
                             quadratic_smooth, whole_space, zero_concave,
                             zero_proximable)
 from dcprox.solver import (RunResult, SolverConfig, StoppingRule,
-                           adca_run, descent_inequality_slacks, descent_slack,
+                           adca_run, descent_inequality_slacks,
                            extrapolation_slacks, pdcae_run, relative_error,
                            sfista_lyapunov, sfista_run, spdcae_run)
 
@@ -164,6 +164,14 @@ def test_descent_slacks_nonnegative_across_problem_types():
         assert np.all(slacks >= floors)
 
 
+def _descent_formula(prob, x_prev, snap, D):
+    """(F(x_prev) + (||x_prev - y||_D^2 - ||x_prev - x||_D^2)/(2t)) - F(x)
+    for snapshot x, y and t, with F evaluated afresh at both points."""
+    rhs = objective(prob, x_prev) + (D.norm_sq(x_prev - snap.y)
+                                     - D.norm_sq(x_prev - snap.x)) / (2.0 * snap.t)
+    return rhs - objective(prob, snap.x)
+
+
 def test_descent_audit_reuses_snapshot_objectives():
     prob, A, yv, lam, L = _lasso_problem()
     counts = {"value_at": 0}
@@ -181,8 +189,7 @@ def test_descent_audit_reuses_snapshot_objectives():
     assert counts["value_at"] == 1  # F(x_0) alone
     # the values of the per-snapshot formula, bit for bit
     xs = [res.x0] + [snap.x for snap in res.states]
-    expected = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t,
-                              snap.metric)
+    expected = [_descent_formula(prob, x_prev, snap, snap.metric)
                 for x_prev, snap in zip(xs, res.states)]
     assert slacks.tolist() == expected
 
@@ -289,10 +296,6 @@ def test_stop_reasons():
                      StoppingRule(max_iter=5), x0=np.array([2.0]))
     assert res.stop_reason == "max_iter"
     res = spdcae_run(prob, SolverConfig(),
-                     StoppingRule(max_iter=50, f_target=0.0),
-                     x0=np.array([2.0]))
-    assert res.stop_reason == "f_target"  # F(1) = 0.5 - 1 = -0.5
-    res = spdcae_run(prob, SolverConfig(),
                      StoppingRule(max_iter=50, crit_tol=1e-10),
                      x0=np.array([2.0]))
     assert res.stop_reason == "crit_tol"
@@ -320,7 +323,7 @@ RUNNERS = {
 def test_stopping_rule_validation():
     bad = [dict(rel_tol=1e-3), dict(max_iter=-1),
            dict(ref_value=1.0, rel_tol=float("nan")), dict(crit_tol=-1.0),
-           dict(ref_value=1.0, rel_tol=-1e-3), dict(f_target=float("nan")),
+           dict(ref_value=1.0, rel_tol=-1e-3),
            dict(ref_value=float("inf")), dict(crit_tol=float("inf")),
            dict(stall_iters=0), dict(stall_iters=-1)]
     for kwargs in bad:
@@ -580,7 +583,7 @@ def test_fixed_step_snapshots_carry_identity_metric(runner):
     assert all(np.array_equal(snap.metric.diag, np.ones(8)) for snap in res.states)
     D = DiagonalMetric(np.ones(8))
     xs = [res.x0, res.x0] + [snap.x for snap in res.states]
-    descent = [descent_slack(prob, x_prev, snap.h_prev, snap.y, snap.x, snap.t, D)
+    descent = [_descent_formula(prob, x_prev, snap, D)
                for x_prev, snap in zip(xs[1:], res.states)]
     extrapolation = [snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
                      - D.norm_sq(x_prev - snap.y)
