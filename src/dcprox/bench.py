@@ -5,14 +5,17 @@ decreasing tolerance grid, and a list of seeds.  Each (solver, seed) cell is
 one solver run; first-hit iteration counts and times for every tolerance are
 read off the run's trace in a single pass, and rows are aggregated over the
 seeds that reached each tolerance.  Reference objective values come from a
-run of a designated reference solver that stops once its objective has
-stalled, capped at ``reference_iterations``.  Runs are sequential and
-deterministic for a fixed configuration.
+run of a designated reference solver that stops once its lowest objective
+has fallen by at most 1e-12 relative over 100 accepted iterations, capped at
+``reference_iterations``.  Runs are sequential and deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import fnmatch
 import json
 import math
 import os
@@ -386,9 +389,11 @@ def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
 
 # --- reference values and the matrix -----------------------------------------
 
-# The reference stops after this many accepted iterations without a new
-# lowest objective: one restart period (T2) of the reference profiles.
-_REFERENCE_STALL_ITERS = 200
+# The reference stops once its lowest objective has fallen by at most 1e-12
+# relative over this many accepted iterations (``StoppingRule.stall_iters``).
+# Logistic and Poisson references settle to that level within a few hundred
+# iterations; a longer window only adds iterations spent in round-off.
+_REFERENCE_STALL_ITERS = 100
 
 
 def _reference_value(config: RunConfig, reference, base: _Base,
@@ -402,17 +407,25 @@ def _reference_value(config: RunConfig, reference, base: _Base,
     return value, result.n_iterations, result.stop_reason
 
 
-def solve_reference(config: RunConfig) -> Tuple[float, int, str]:
+def solve_reference(config: RunConfig, out: Optional[str] = None
+                    ) -> Tuple[float, int, str]:
     """Objective, iteration count and stop reason of the reference solver
     on the canonical instance.
 
     Logistic references share the dataset and use the start drawn from the
     reference seed; Poisson references use the reference seed's count
-    realization.  Deterministic for a fixed configuration.
+    realization.  Deterministic for a fixed configuration.  When ``out`` is
+    set, the file is opened before the solve and receives the three as JSON
+    (``reference``, ``iterations``, ``stop_reason``).
     """
     base, _, reference = _setup(config)
-    return _reference_value(config, reference, base,
-                            *_instance(base, config.reference_seed))
+    with open(out, "w", encoding="ascii") if out else contextlib.nullcontext() as fh:
+        value, iterations, stop_reason = _reference_value(
+            config, reference, base, *_instance(base, config.reference_seed))
+        if fh is not None:
+            json.dump({"reference": value, "iterations": iterations,
+                       "stop_reason": stop_reason}, fh)
+    return value, iterations, stop_reason
 
 
 def _first_hits(trace: List[TraceRecord], tolerances: List[float]):
@@ -443,15 +456,35 @@ class BenchResult:
     reference_stops: Dict[int, Tuple[int, str]] = field(default_factory=dict)
 
 
+def _trace_file(name: str, seed: int) -> str:
+    return f"trace_{name}_{seed}.csv"
+
+
+def _prepare_out_dir(config: RunConfig) -> None:
+    """Create ``config.out_dir``; a trace CSV in it that this configuration
+    does not write is a ConfigError naming it, since the summary would not
+    describe it.  Nothing is deleted."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    written = {_trace_file(s["name"], seed)
+               for s in config.solvers for seed in config.seeds}
+    stale = sorted(f for f in os.listdir(config.out_dir)
+                   if fnmatch.fnmatch(f, "trace_*.csv") and f not in written)
+    if stale:
+        raise ConfigError(f"output directory {config.out_dir} holds trace files "
+                          f"this run does not write: {', '.join(stale)}")
+
+
 def run_matrix(config: RunConfig) -> BenchResult:
     """Run every (solver, seed) cell and aggregate first-hit statistics.
 
     When ``config.out_dir`` is set, creates it before the first solve and
-    writes one trace CSV per cell plus ``summary.csv`` and ``summary.json``.
+    writes one trace CSV per cell plus ``summary.csv`` and ``summary.json``,
+    replacing files of the same names; an earlier run's trace CSV that this
+    run would not replace is a ConfigError, raised before the first solve.
     """
     base, solvers, reference = _setup(config)
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
+        _prepare_out_dir(config)
     shared_ref: Optional[Tuple[float, int, str]] = None
     if base.kind == "logreg":
         shared_ref = _reference_value(config, reference, base,
@@ -578,8 +611,7 @@ def write_outputs(config: RunConfig, result: BenchResult) -> None:
     """The trace and summary files of ``result`` in the existing directory
     ``config.out_dir``."""
     for (name, seed), run in result.runs.items():
-        write_trace_csv(os.path.join(config.out_dir, f"trace_{name}_{seed}.csv"),
-                        run.trace)
+        write_trace_csv(os.path.join(config.out_dir, _trace_file(name, seed)), run.trace)
     rows = result.summary
     _write_table(os.path.join(config.out_dir, "summary.csv"), _SUMMARY_COLUMNS, rows)
     payload = {"reference_values": {str(k): v for k, v in result.references.items()},

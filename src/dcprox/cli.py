@@ -106,13 +106,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ref(args) -> int:
-    config = _load_config(args.config)
-    value, iterations, stop_reason = solve_reference(config)
+    value, _, _ = solve_reference(_load_config(args.config), args.out)
     print(repr(value))
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump({"reference": value, "iterations": iterations,
-                       "stop_reason": stop_reason}, fh)
     return 0
 
 

@@ -8,10 +8,10 @@ theta schedule.  ``pdcae_run`` takes a fixed step with the identity metric
 and restarted weights, and ``adca_run`` a fixed step that gates
 extrapolation on recent objective values.  The loop records the trace and
 snapshots and stops with reason "nonfinite" (the accepted objective is not
-finite), "rel_tol", "crit_tol" or "stalled" (no new lowest objective for a
-set number of iterations), tested in that order, or "max_iter".  Audit
-helpers re-check the per-iteration inequalities the analysis relies on,
-from recorded iteration snapshots.
+finite), "rel_tol", "crit_tol" or "stalled" (the lowest objective stopped
+falling over a set number of iterations), tested in that order, or
+"max_iter".  Audit helpers re-check the per-iteration inequalities the
+analysis relies on, from recorded iteration snapshots.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ class StoppingRule:
     Any satisfied clause stops the run: the iteration cap, a relative error
     against a supplied reference value (absolute difference when the
     reference is nonpositive), a threshold on the fixed-point criticality
-    residual, or ``stall_iters`` accepted iterations in a row without an
-    objective strictly below the lowest seen so far.
+    residual, or a stall: with ``stall_iters = W``, the lowest objective
+    seen so far, F_low, has fallen by at most ``1e-12 |F_low(k)|`` over the
+    last W accepted iterations, F_low(k - W) - F_low(k) <= 1e-12 |F_low(k)|.
+    F_low(0) is +inf, so a stall stops no run before iteration W + 1.
     """
 
     max_iter: int = 10000
@@ -163,9 +165,17 @@ def _check_start(problem: DcProblem, x0) -> Array:
     return x0
 
 
+# A stall window in which the lowest objective falls by at most this much,
+# relative to it, counts as no progress.  Settled objectives wander in a
+# floating-point band 1.3-1.7e-12 relative wide, and each one-ulp new low in
+# it would otherwise restart the window.  At F_low = 0 the window must bring
+# no new low at all.
+_STALL_REL_TOL = 1e-12
+
+
 def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
                  rel: float | None, s: IterationSnapshot,
-                 since_low: int) -> str | None:
+                 lows: deque | None) -> str | None:
     if not math.isfinite(F):
         return "nonfinite"
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
@@ -173,7 +183,8 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
     if stop.crit_tol is not None and criticality_residual(
             problem, s.x, s.t, problem.f.grad_at(s.z)) <= stop.crit_tol:
         return "crit_tol"
-    if stop.stall_iters is not None and since_low >= stop.stall_iters:
+    # lows holds F_low(k - W) ... F_low(k)
+    if lows is not None and lows[0] - lows[-1] <= _STALL_REL_TOL * abs(lows[-1]):
         return "stalled"
     return None
 
@@ -187,8 +198,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
     kept as is under ``keep_states``.  A x0 is computed here once and each
     later z comes from the accepted snapshot.
-    ``on_value`` receives each accepted objective value.  The lowest
-    objective and its iteration are tracked only for a stall clause.
+    ``on_value`` receives each accepted objective value.  The running
+    minima of the stall window are kept only for a stall clause.
     """
     stop = stop or StoppingRule()
     z0 = problem.f.A @ x0
@@ -198,7 +209,9 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     t_start = time.perf_counter()
     stop_reason = "max_iter"
     F_prev = objective(problem, x0) if diagnostics else None
-    F_low, k_low = math.inf, 0
+    lows = None
+    if stop.stall_iters is not None:
+        lows = deque([math.inf], maxlen=stop.stall_iters + 1)  # F_low(0) = +inf
 
     for k in range(1, stop.max_iter + 1):
         state.k = k
@@ -206,8 +219,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         F = objective(problem, s.x, s.f)
         if on_value is not None:
             on_value(F)
-        if stop.stall_iters is not None and F < F_low:
-            F_low, k_low = F, k
+        if lows is not None:
+            lows.append(F if F < lows[-1] else lows[-1])
         rel = relative_error(F, stop.ref_value) if stop.ref_value is not None else None
         record = TraceRecord(k=k, F_value=F, rel_error=rel, L_accepted=s.L, t=s.t,
                              n_backtracks=s.n_backtracks, beta_used=s.beta,
@@ -226,7 +239,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         state.z_prev2, state.z_prev = state.z_prev, s.z
         state.L_prev = s.L
 
-        reason = _stop_reason(problem, stop, F, rel, s, k - k_low)
+        reason = _stop_reason(problem, stop, F, rel, s, lows)
         if reason is not None:
             stop_reason = reason
             break

@@ -256,6 +256,45 @@ def test_ref_out_in_missing_directory_exits_2(tmp_path, capsys):
     _assert_one_line_error(capsys, rc, str(out))
 
 
+def test_ref_out_in_missing_directory_exits_2_before_the_solve(tmp_path, capsys,
+                                                              no_solves):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["ref", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert str(out) in captured.err
+
+
+def test_bench_out_with_foreign_traces_exits_2_before_any_solve(tmp_path, capsys,
+                                                               no_solves):
+    # the config writes trace_spdcae1_0.csv only
+    cfg = _write_config(tmp_path / "cfg.json")
+    out_dir = tmp_path / "runs"
+    out_dir.mkdir()
+    names = ["notes.csv", "trace_pdcae1_0.csv", "trace_spdcae1_0.csv",
+             "trace_spdcae1_1.csv"]
+    for name in names:
+        (out_dir / name).write_text("earlier run")
+    rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
+    _assert_one_line_error(capsys, rc, "trace_pdcae1_0.csv, trace_spdcae1_1.csv")
+    # nothing is deleted or rewritten
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    assert all((out_dir / name).read_text() == "earlier run" for name in names)
+
+
+def test_bench_rerun_into_the_same_directory_overwrites(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", seeds=[0, 1], tolerances=[1e-9])
+    out_dir = tmp_path / "runs"
+    assert main(["bench", "--config", str(cfg), "--out", str(out_dir),
+                 "--max-iter", "5"]) == 0
+    assert main(["bench", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    for seed in (0, 1):
+        assert len(read_trace_csv(out_dir / f"trace_spdcae1_{seed}.csv")) > 5
+    # the capped first run's summary is replaced too
+    assert {r.max_flag for r in read_summary_csv(out_dir / "summary.csv")} == {False}
+
+
 def test_bench_max_iter_zero_is_config_error(tmp_path, capsys, no_solves):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["bench", "--config", str(cfg), "--max-iter", "0"]) == 2

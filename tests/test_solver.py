@@ -354,17 +354,55 @@ def test_stall_stops_at_exact_fixed_point():
     assert res.n_iterations == 1 + 7
 
 
-def test_stall_window_counts_from_last_new_low():
+def _stall_stop(trace, window):
+    """First k with F_low(k - W) - F_low(k) <= 1e-12 |F_low(k)|, where F_low
+    is the running minimum of the trace and F_low(0) = +inf."""
+    lows = [math.inf]
+    for rec in trace:
+        lows.append(min(lows[-1], rec.F_value))
+        if rec.k >= window and \
+                lows[rec.k - window] - lows[rec.k] <= 1e-12 * abs(lows[rec.k]):
+            return rec.k
+    return None
+
+
+def test_stall_window_measures_fall_of_lowest_objective():
     prob, A, yv, lam, L = _lasso_problem(seed=4)
     stall = 15
     res = sfista_run(prob, SolverConfig(), StoppingRule(max_iter=5000, stall_iters=stall),
                      x0=np.zeros(10))
     assert res.stop_reason == "stalled"
-    lows = _new_lows(res.trace)
-    assert res.n_iterations == lows[-1] + stall
-    # no earlier stretch without a new low was long enough to stop the run
-    # (a new low at exactly `stall` iterations resets the window in time)
-    assert all(b - a <= stall for a, b in zip(lows, lows[1:]))
+    assert res.n_iterations == _stall_stop(res.trace, stall)
+    # the window held round-off new lows, which no longer restart it
+    assert _new_lows(res.trace)[-1] > res.n_iterations - stall
+
+
+def _linear_descent(step: float, window: int, max_iter: int):
+    """Fixed steps on F(x) = 1 + x with no extrapolation: F falls by exactly
+    ``step`` per iteration, so by about ``window * step`` relative per
+    window."""
+    f = SmoothOracle(np.eye(1), lambda z: 1.0 + float(z[0]),
+                     lambda z: (1.0 + float(z[0]), np.ones(1)),
+                     lambda z: np.ones(1))
+    prob = DcProblem(f=f, g=zero_proximable(), h=zero_concave(),
+                     feasible_set=whole_space())
+    return pdcae_run(prob, 1.0 / step, BetaSchedule(family="none"),
+                     StoppingRule(max_iter=max_iter, stall_iters=window),
+                     x0=np.zeros(1))
+
+
+def test_stall_spares_a_run_still_improving_past_the_tolerance():
+    window = 100
+    # about 1e-11 relative per window: still improving, never stopped
+    res = _linear_descent(1e-13, window, 10 * window)
+    assert res.stop_reason == "max_iter"
+    F = [rec.F_value for rec in res.trace]
+    falls = [(a - b) / abs(b) for a, b in zip(F, F[window:])]
+    assert 0.9e-11 < min(falls) and max(falls) < 1.1e-11
+    # about 1e-13 relative per window: stopped as soon as a window closes
+    res = _linear_descent(1e-15, window, 10 * window)
+    assert res.stop_reason == "stalled"
+    assert res.n_iterations == window + 1
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
