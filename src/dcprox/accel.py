@@ -91,7 +91,7 @@ class BetaSchedule:
         restarted = k % self.T2 == 0
         if not restarted and self.family == "fixed-adaptive-restart":
             # Momentum turned against the last step: plain inner product test.
-            restarted = float(np.dot(x_k - x_prev, y_k - x_k)) > 0.0
+            restarted = float((x_k - x_prev).dot(y_k - x_k)) > 0.0
         if restarted:
             self.theta = 1.0
         return restarted

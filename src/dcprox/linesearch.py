@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import DiagonalMetric
+from .metric import DiagonalMetric, divide_by
 from .problem import DcProblem
 
 Array = np.ndarray
@@ -141,7 +141,7 @@ def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
-    bound = fy + float(np.dot(grad_y, d)) + D.norm_sq(d) / (2.0 * t)
+    bound = fy + float(grad_y.dot(d)) + D.norm_sq(d) / (2.0 * t)
     return fx <= bound + _DECREASE_SLACK * max(1.0, abs(fy))
 
 
@@ -161,12 +161,13 @@ def extrapolate(problem: DcProblem, state: IterateState,
 
 
 def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
-               h: Array, t: float,
+               h: Array | None, t: float,
                D: DiagonalMetric) -> tuple[Array, Array, float, bool]:
     """x_new = prox of g of size t in the metric D at y - t D^{-1} (grad_y - h),
     z_new = A x_new, f(x_new), and whether the decrease test from
-    (f_y, grad_y) at y holds."""
-    x_new = problem.g.scaled_prox(y - t * (grad_y - h) / D.diag, t, D)
+    (f_y, grad_y) at y holds.  ``h`` None stands for a zero subgradient."""
+    d = grad_y if h is None else grad_y - h
+    x_new = problem.g.scaled_prox(y - divide_by(t * d, D), t, D)
     z_new = problem.f.A @ x_new
     f_new = problem.f.value_at(z_new)
     return (x_new, z_new, f_new,
@@ -185,9 +186,9 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     re-solves the prox subproblem.  On acceptance the providers are committed,
     ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
     grad_y)``; the restart rule is left to the caller.  ``h`` is the
-    subgradient of h at ``state.x_prev``.  The smooth term is called
-    once per extrapolated point (``extrapolate``) and once per trial point
-    (``prox_trial``).
+    subgradient of h at ``state.x_prev``, None for a zero h.  The smooth
+    term is called once per extrapolated point (``extrapolate``) and once
+    per trial point (``prox_trial``).
     """
     k = state.k
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)

@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .metric import DiagonalMetric
+from .metric import DiagonalMetric, divide_by
 from .problem import (ConcavePartOracle, DcProblem, ProximableOracle,
-                      SmoothOracle, whole_space)
+                      SmoothOracle, _norm, whole_space)
 
 Array = np.ndarray
 
@@ -87,13 +87,8 @@ def l1_scaled_prox(v: Array, t: float, lam: float,
     """
     if t <= 0.0 or lam < 0.0:
         raise ValueError("need t > 0 and lam >= 0")
-    level = t * lam if D is None else t * lam / D.diag
+    level = divide_by(t * lam, D)
     return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
-
-
-def _norm(x: Array) -> float:
-    # what np.linalg.norm computes for a 1-d float vector, without its dispatch
-    return math.sqrt(x.dot(x))
 
 
 def l2_subgradient(x: Array, lam: float) -> Array:
@@ -145,7 +140,7 @@ def logistic_lipschitz_bound(data: LogRegData, tol: float = 1e-8,
 def l1_proximable(lam: float) -> ProximableOracle:
     """g(x) = lam ||x||_1 with its scaled soft-threshold prox."""
     return ProximableOracle(
-        eval=lambda x: float(lam * np.sum(np.abs(x))),
+        eval=lambda x: float(lam * np.abs(x).sum()),
         scaled_prox=lambda v, t, D: l1_scaled_prox(v, t, lam, D))
 
 

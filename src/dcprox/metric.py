@@ -9,7 +9,7 @@ the metrics stay uniformly bounded and their relative growth is summable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,14 @@ DEFAULT_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class DiagonalMetric:
-    """Positive diagonal matrix stored as its diagonal vector."""
+    """Positive diagonal matrix stored as its diagonal vector.
+
+    ``is_identity`` is set only by ``identity_metric``; ``divide_by`` then
+    skips the division by its all-ones diagonal.
+    """
 
     diag: Array
+    is_identity: bool = field(default=False, init=False)
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
@@ -41,11 +46,19 @@ class DiagonalMetric:
 
     def norm_sq(self, v: Array) -> float:
         """Squared weighted norm sum_i diag_i * v_i**2."""
-        return float(np.dot(self.diag, v * v))
+        return float(self.diag.dot(v * v))
 
 
 def identity_metric(n: int) -> DiagonalMetric:
-    return DiagonalMetric(np.ones(n))
+    D = DiagonalMetric(np.ones(n))
+    object.__setattr__(D, "is_identity", True)
+    return D
+
+
+def divide_by(v: Array | float, D: DiagonalMetric | None) -> Array | float:
+    """v / D.diag; v itself for the identity, ``None`` or ``identity_metric``,
+    whose division by ones would be exact."""
+    return v if D is None or D.is_identity else v / D.diag
 
 
 def gamma(k: int, clamp_numerator: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logreg import l2_concave
-from .metric import DiagonalMetric
+from .metric import DiagonalMetric, divide_by
 from .problem import (DcProblem, EvaluationDomainError, ProximableOracle,
                       SmoothOracle, _smallest, nonnegative_orthant)
 
@@ -93,14 +93,15 @@ def _intensity(data: PoissonCsData, z: Array) -> Array:
     return c
 
 
-def _kl_at(data: PoissonCsData, c: Array) -> float:
-    b_pos = data.b_pos
-    return float(c.sum() - data.b_sum + (b_pos * np.log(b_pos / c[data.pos])).sum())
+def _kl_at(data: PoissonCsData, c: Array, ratio_pos: Array) -> float:
+    # ratio_pos is b_pos / c[pos]
+    return float(c.sum() - data.b_sum + (data.b_pos * np.log(ratio_pos)).sum())
 
 
 def _kl_value_grad_at(data: PoissonCsData, z: Array) -> tuple[float, Array]:
     c = _intensity(data, z)
-    return _kl_at(data, c), data.A.T @ (1.0 - data.b / c)
+    ratio = data.b / c  # (b / c)[pos] is b_pos / c[pos] entry for entry
+    return _kl_at(data, c, ratio[data.pos]), data.A.T @ (1.0 - ratio)
 
 
 def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
@@ -124,7 +125,11 @@ def kl_smooth(data: PoissonCsData) -> SmoothOracle:
     value = sum_i b_i log(b_i / c_i) + c_i - b_i, where terms with b_i = 0
     contribute c_i; grad = A^T (1 - b / c).
     """
-    return SmoothOracle(data.A, lambda z: _kl_at(data, _intensity(data, z)),
+    def value_at(z: Array) -> float:
+        c = _intensity(data, z)
+        return _kl_at(data, c, data.b_pos / c[data.pos])
+
+    return SmoothOracle(data.A, value_at,
                         functools.partial(_kl_value_grad_at, data),
                         lambda z: _kl_value_grad_at(data, z)[1])
 
@@ -137,7 +142,7 @@ def l1_nonneg_scaled_prox(v: Array, t: float, lam: float,
     """
     if t <= 0.0 or lam < 0.0:
         raise ValueError("need t > 0 and lam >= 0")
-    level = t * lam if D is None else t * lam / D.diag
+    level = divide_by(t * lam, D)
     return np.maximum(v - level, 0.0)
 
 

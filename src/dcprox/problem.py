@@ -37,6 +37,11 @@ class EvaluationDomainError(ValueError):
 _smallest = functools.partial(np.fmin.reduce, initial=math.inf)
 
 
+def _norm(x: Array) -> float:
+    # what np.linalg.norm computes for a 1-d float vector, without its dispatch
+    return math.sqrt(x.dot(x))
+
+
 @dataclass(frozen=True)
 class SmoothOracle:
     """The smooth convex term f(x) = l(A x), given at z = A x.
@@ -68,8 +73,9 @@ class ProximableOracle:
     """g together with its scaled proximal map.
 
     ``scaled_prox(v, t, D)`` returns argmin_u g(u) + ||u - v||_D^2 / (2 t)
-    for a positive diagonal D (``None`` means identity).  ``eval`` may return
-    +inf outside dom g.
+    for a positive diagonal D.  ``None`` and a metric marked
+    ``is_identity`` both mean the identity, with no division by D.
+    ``eval`` may return +inf outside dom g.
     """
 
     eval: Callable[[Array], float]
@@ -78,11 +84,19 @@ class ProximableOracle:
 
 @dataclass(frozen=True)
 class ConcavePartOracle:
-    """The subtracted convex term h with a deterministic subgradient selection."""
+    """The subtracted convex term h with a deterministic subgradient selection.
+
+    ``is_zero`` promises that h and ``subgrad`` are identically zero; the
+    loop then forms no subgradient, subtracts none and skips ``eval``.
+    """
 
     eval: Callable[[Array], float]
     subgrad: Callable[[Array], Array]
     is_zero: bool = False
+
+    def subgrad_or_none(self, x: Array) -> Array | None:
+        """``subgrad(x)``, or None for a zero h (nothing to subtract)."""
+        return None if self.is_zero else self.subgrad(x)
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,9 @@ def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:
     if gx == math.inf:
         return math.inf
     f_x = problem.f.eval(x) if f_x is None else f_x
-    return float(f_x) + float(gx) - float(problem.h.eval(x))
+    F = float(f_x) + float(gx)
+    # F - 0.0 is F bit for bit, so a zero h is not evaluated
+    return F if problem.h.is_zero else F - float(problem.h.eval(x))
 
 
 def criticality_residual(problem: DcProblem, x: Array, t: float,
@@ -161,9 +177,10 @@ def criticality_residual(problem: DcProblem, x: Array, t: float,
         raise ValueError("step size must be positive")
     if grad_x is None:
         grad_x = problem.f.grad(x)
-    step = x - t * (grad_x - problem.h.subgrad(x))
-    x_hat = problem.g.scaled_prox(step, t, None)
-    return float(np.linalg.norm(x - x_hat))
+    if not problem.h.is_zero:
+        grad_x = grad_x - problem.h.subgrad(x)
+    x_hat = problem.g.scaled_prox(x - t * grad_x, t, None)
+    return _norm(x - x_hat)
 
 
 # --- common closed-form pieces -------------------------------------------
@@ -202,11 +219,11 @@ def least_squares_smooth(A: Array, y: Array) -> SmoothOracle:
 
     def value_at(z: Array) -> float:
         r = z - y
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * float(r.dot(r))
 
     def value_grad_at(z: Array) -> Tuple[float, Array]:
         r = z - y
-        return 0.5 * float(np.dot(r, r)), A.T @ r
+        return 0.5 * float(r.dot(r)), A.T @ r
 
     def grad_at(z: Array) -> Array:
         return A.T @ (z - y)

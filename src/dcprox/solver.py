@@ -270,7 +270,7 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
 
     def step(state: IterateState) -> IterationSnapshot:
         s = backtrack_step(problem, config.backtrack, state,
-                           problem.h.subgrad(state.x_prev),
+                           problem.h.subgrad_or_none(state.x_prev),
                            beta_schedule, metric_provider)
         s.restarted = beta_schedule.finish_iteration(state.k, s.x, state.x_prev, s.y)
         return s
@@ -304,7 +304,7 @@ def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
     D = identity_metric(x0.shape[0])
     warned = False
 
-    def prox_step(k: int, base: Array, h: Array, f_base: float,
+    def prox_step(k: int, base: Array, h: Array | None, f_base: float,
                   grad_base: Array, beta: float, theta: float) -> IterationSnapshot:
         nonlocal warned
         x_new, z_new, f_new, ok = prox_trial(problem, base, f_base, grad_base,
@@ -340,7 +340,7 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
 
     def step(state: IterateState) -> IterationSnapshot:
         x_prev = state.x_prev
-        h = problem.h.subgrad(x_prev)
+        h = problem.h.subgrad_or_none(x_prev)
         beta, theta = schedule.propose(t)
         y, f_y, grad_y = extrapolate(problem, state, beta)
         s = prox_step(state.k, y, h, f_y, grad_y, beta, theta)
@@ -378,7 +378,7 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
         else:
             base = state.x_prev
             f_base, grad_base = problem.f.value_grad_at(state.z_prev)
-        h = problem.h.subgrad(base)
+        h = problem.h.subgrad_or_none(base)
         s = prox_step(state.k, base, h, f_base, grad_base,
                       beta if gate else 0.0, theta)
         schedule.commit(theta, t)

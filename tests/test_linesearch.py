@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dcprox.accel import BetaSchedule
+from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.linesearch import (BacktrackConfig, IterateState, LineSearchError,
                                backtrack_step, extrapolate, initial_L,
-                               sufficient_decrease)
+                               prox_trial, sufficient_decrease)
+from dcprox.logreg import build_logreg_problem
 from dcprox.metric import (DiagonalMetric, IdentityMetricProvider,
                            identity_metric)
+from dcprox.poisson import build_poisson_problem
 from dcprox.problem import (DcProblem, SmoothOracle, least_squares_smooth,
                             nonnegative_orthant, quadratic_smooth, whole_space,
                             zero_concave, zero_proximable)
@@ -195,3 +198,31 @@ def test_extrapolation_takes_A_y_by_linearity_unless_clipped():
     y, _, _ = extrapolate(prob, state(np.array([0.5, 1.0, 2.0, 2.0])), 0.7)
     assert y[2] == 0.0
     assert seen[-1].tobytes() == (A @ y).tobytes()
+
+
+@pytest.mark.parametrize("family", ["logreg", "poisson"])
+def test_identity_mark_changes_no_bit_of_a_trial(family):
+    # identity_metric skips the divisions by its ones; an unmarked all-ones
+    # diagonal takes them
+    rng = np.random.default_rng(3)
+    if family == "logreg":
+        data, _ = gen_logreg(200, 30, rng=0)
+        prob = build_logreg_problem(data)
+        y = rng.standard_normal(30)
+    else:
+        data, _ = gen_poisson_cs(n=60, m=20, k_nonzeros=3, amp_max=1e3, rng=0)
+        prob = build_poisson_problem(data)
+        y = rng.uniform(0.5, 2.0, 60)
+    f_y, grad_y = prob.f.value_grad(y)
+    h = prob.h.subgrad(y)
+    marked, plain = identity_metric(y.shape[0]), DiagonalMetric(np.ones(y.shape[0]))
+    accepted = []
+    for t in (1e-3, 0.1, 10.0, 1e3, 1e5):
+        x_a, z_a, f_a, ok_a = prox_trial(prob, y, f_y, grad_y, h, t, marked)
+        x_b, z_b, f_b, ok_b = prox_trial(prob, y, f_y, grad_y, h, t, plain)
+        assert x_a.tobytes() == x_b.tobytes()
+        assert z_a.tobytes() == z_b.tobytes()
+        assert np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
+        assert ok_a == ok_b
+        accepted.append(ok_a)
+    assert True in accepted and False in accepted

@@ -50,6 +50,11 @@ def test_weighted_norm():
 
 def test_identity_metric():
     assert np.array_equal(identity_metric(3).diag, np.ones(3))
+    # only identity_metric marks a metric as the identity
+    assert identity_metric(3).is_identity
+    assert not DiagonalMetric(np.ones(3)).is_identity
+    with pytest.raises(TypeError):
+        DiagonalMetric(np.full(3, 2.0), is_identity=True)
 
 
 def test_adagrad_zero_gradient_floor():

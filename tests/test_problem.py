@@ -6,7 +6,9 @@ from dcprox.problem import (DcProblem, EvaluationDomainError,
                             criticality_residual, least_squares_smooth,
                             nonnegative_orthant, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
+from dcprox.datasets import gen_poisson_cs
 from dcprox.logreg import l1_proximable
+from dcprox.poisson import build_poisson_problem
 
 
 def test_whole_space_projection_is_identity():
@@ -60,6 +62,25 @@ def test_criticality_residual_zero_at_solution():
 def test_criticality_residual_away_from_solution():
     prob = _one_dim_lasso()
     assert criticality_residual(prob, np.array([0.0]), 0.5) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("family", ["lasso", "poisson"])
+def test_criticality_residual_is_numpy_norm_bit_for_bit(family):
+    rng = np.random.default_rng(5)
+    if family == "lasso":
+        A = rng.standard_normal((200, 50))
+        prob = DcProblem(f=least_squares_smooth(A, rng.standard_normal(200)),
+                         g=l1_proximable(0.1), h=zero_concave(),
+                         feasible_set=whole_space())
+        x = rng.standard_normal(50)
+    else:
+        data, _ = gen_poisson_cs(n=60, m=20, k_nonzeros=3, amp_max=1e3, rng=0)
+        prob = build_poisson_problem(data)
+        x = rng.uniform(0.0, 2.0, 60)
+    for t in (1e-3, 0.5):
+        step = x - t * (prob.f.grad(x) - prob.h.subgrad(x))
+        x_hat = prob.g.scaled_prox(step, t, None)
+        assert criticality_residual(prob, x, t) == float(np.linalg.norm(x - x_hat))
 
 
 def test_criticality_requires_positive_step():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -13,10 +14,10 @@ from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave, logistic_lipschitz_bound)
 from dcprox.metric import DiagonalMetric, gamma
 from dcprox.poisson import build_poisson_problem, l1_nonneg_proximable
-from dcprox.problem import (DcProblem, SmoothOracle, criticality_residual,
-                            least_squares_smooth, nonnegative_orthant, objective,
-                            quadratic_smooth, whole_space, zero_concave,
-                            zero_proximable)
+from dcprox.problem import (ConcavePartOracle, DcProblem, SmoothOracle,
+                            criticality_residual, least_squares_smooth,
+                            nonnegative_orthant, objective, quadratic_smooth,
+                            whole_space, zero_concave, zero_proximable)
 from dcprox.solver import (RunResult, SolverConfig, StoppingRule,
                            adca_run, descent_inequality_slacks,
                            extrapolation_slacks, pdcae_run, relative_error,
@@ -756,3 +757,40 @@ def test_criticality_stop_takes_gradient_from_carried_product():
     x = res.x
     assert criticality_residual(prob, x, 0.5) == criticality_residual(
         prob, x, 0.5, prob.f.value_grad(x)[1])
+
+
+def _bits(value):
+    # a float as its 8 bytes, so that -0.0 and 0.0 differ
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _record_bits(run: RunResult):
+    return [tuple(_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec)
+                  if f.name != "wall_clock_seconds") for rec in run.trace]
+
+
+@pytest.mark.parametrize("make", [lambda: _lasso_problem(200, 50)[0],
+                                  lambda: _nnls_problem()[0]],
+                         ids=["lasso", "nnls"])
+def test_zero_concave_fast_path_matches_general_path_bit_for_bit(make):
+    # sfista_run's configuration, run through spdcae_run so that h may be a
+    # zero that does not say so
+    fast = make()
+    general = dataclasses.replace(fast, h=ConcavePartOracle(
+        eval=lambda x: 0.0, subgrad=np.zeros_like))
+
+    def poisoned(x):
+        raise AssertionError("a zero h must not be called")
+
+    silent = dataclasses.replace(fast, h=ConcavePartOracle(
+        eval=poisoned, subgrad=poisoned, is_zero=True))
+    assert fast.h.is_zero and not general.h.is_zero
+    config = SolverConfig(backtrack=BacktrackConfig(mode="monotone"),
+                          beta_family="plain")
+    stop = StoppingRule(max_iter=300, crit_tol=1e-8)
+    x0 = np.zeros(fast.f.A.shape[1])
+    runs = [spdcae_run(p, config, stop, x0=x0) for p in (fast, general, silent)]
+    for run in runs[1:]:
+        assert _record_bits(run) == _record_bits(runs[0])
+        assert run.stop_reason == runs[0].stop_reason
+        assert run.x.tobytes() == runs[0].x.tobytes()
