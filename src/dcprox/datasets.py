@@ -12,9 +12,8 @@ import json
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
-from .logreg import LogRegData
+from .logreg import LogRegData, _issparse
 from .poisson import PoissonCsData
 
 Array = np.ndarray
@@ -44,9 +43,13 @@ def read_libsvm(path, n_features: int | None = None):
     Indices are 1-based in the file and 0-based in the returned matrix;
     labels are mapped to {-1, +1} (nonpositive labels, including the 0 of
     0/1-labeled files, become -1).  The feature count is the largest index
-    seen unless ``n_features`` overrides it.  Duplicate indices within a line
-    and malformed tokens raise ParseError with the line number.
+    seen unless ``n_features`` overrides it.  Duplicate indices within a line,
+    malformed tokens and indices above ``n_features`` raise ParseError with
+    the line number.
     """
+    import scipy.sparse as sp  # deferred: only sparse inputs need scipy
+
+    cap = None if n_features is None else int(n_features)
     labels = []
     indptr = [0]
     indices = []
@@ -75,6 +78,9 @@ def read_libsvm(path, n_features: int | None = None):
                     raise ParseError(f"feature index {idx} is not positive", line_no)
                 if idx in seen:
                     raise ParseError(f"duplicate feature index {idx}", line_no)
+                if cap is not None and idx > cap:
+                    raise ParseError(f"feature index {idx} exceeds n_features {cap}",
+                                     line_no)
                 seen.add(idx)
                 pairs.append((idx, val))
                 max_index = max(max_index, idx)
@@ -82,18 +88,17 @@ def read_libsvm(path, n_features: int | None = None):
             indices.extend(idx - 1 for idx, _ in pairs)
             values.extend(val for _, val in pairs)
             indptr.append(len(indices))
-    n = max_index if n_features is None else int(n_features)
-    if n_features is not None and max_index > n_features:
-        raise ParseError(f"feature index {max_index} exceeds n_features", 0)
     A = sp.csr_matrix((np.asarray(values, dtype=float),
                        np.asarray(indices, dtype=np.int32),
                        np.asarray(indptr, dtype=np.int32)),
-                      shape=(len(labels), n))
+                      shape=(len(labels), max_index if cap is None else cap))
     return A, np.asarray(labels, dtype=float)
 
 
 def write_libsvm(path, A, labels) -> None:
     """Write a matrix and {-1,+1} labels in the sparse text format."""
+    import scipy.sparse as sp
+
     A = sp.csr_matrix(A)
     labels = np.asarray(labels)
     with open(path, "w", encoding="ascii") as fh:
@@ -239,8 +244,8 @@ def save_dataset_json(path, kind: str, data, truth: Array,
     payload: dict = {"kind": kind, "params": params or {}}
     if kind == "logreg":
         A = data.A
-        if sp.issparse(A):
-            A = sp.csr_matrix(A)
+        if _issparse(A):
+            A = A.tocsr()
             payload["A"] = {"format": "csr", "shape": list(A.shape),
                             "indptr": A.indptr.tolist(),
                             "indices": A.indices.tolist(),
@@ -284,6 +289,8 @@ def _matrix_from_payload(spec):
     if spec["format"] == "dense":
         return _array(spec["values"], "A.values", 2)
     if spec["format"] == "csr":
+        import scipy.sparse as sp
+
         return sp.csr_matrix((_array(spec["values"], "A.values", 1),
                               _array(spec["indices"], "A.indices", 1, np.int32),
                               _array(spec["indptr"], "A.indptr", 1, np.int32)),

@@ -11,18 +11,24 @@ solvers can carry z through their loop.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .metric import DiagonalMetric, divide_by
 from .problem import (ConcavePartOracle, DcProblem, ProximableOracle,
                       SmoothOracle, _norm, whole_space)
 
 Array = np.ndarray
+
+
+def _issparse(A) -> bool:
+    """``scipy.sparse.issparse(A)`` without importing scipy: no sparse
+    matrix can exist before ``scipy.sparse`` has been imported."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(A)
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,9 @@ class LogRegData:
             raise ValueError("labels must be -1 or +1")
         if self.A.shape[0] != b.shape[0]:
             raise ValueError("label count must match the number of rows")
-        if not np.isfinite(self.A.data if sp.issparse(self.A) else self.A).all():
+        if self.A.shape[0] < 1 or self.A.shape[1] < 1:
+            raise ValueError("need at least one sample and one feature")
+        if not np.isfinite(self.A.data if _issparse(self.A) else self.A).all():
             raise ValueError("design matrix A has non-finite entries")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("penalty weight lam must be positive and finite")
@@ -66,6 +74,8 @@ def logistic_smooth(data: LogRegData) -> SmoothOracle:
     value = (1/m) sum_i log(1 + exp(u_i)),
     grad  = -(1/m) A^T (b * sigmoid(u)).
     """
+    from scipy.special import expit  # deferred: only the logistic loss needs scipy
+
     A, b, m = data.A, data.b, data.m
 
     def grad_from(u: Array) -> Array:
@@ -100,7 +110,7 @@ def l2_subgradient(x: Array, lam: float) -> Array:
 
 
 def _frobenius_sq(A) -> float:
-    if sp.issparse(A):
+    if _issparse(A):
         return float(np.dot(A.data, A.data))
     return float(np.sum(A * A))
 

@@ -432,6 +432,10 @@ def _bad_problems(tmp_path):
     bad_label.write_text("+1 1:0.5\nx 2:1.0\n")
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
+    empty_svm = tmp_path / "empty.svm"
+    empty_svm.write_text("")
+    featureless = tmp_path / "featureless.svm"
+    featureless.write_text("+1\n-1\n")
     dataset = {"kind": "logreg", "A": {"format": "dense", "values": [[1.0], [0.5]]},
                "labels": [1.0, -1.0], "lambda": 0.01, "truth": [0.0]}
     malformed = {}
@@ -447,6 +451,8 @@ def _bad_problems(tmp_path):
         "missing-libsvm-file": {"kind": "logreg-file",
                                 "path": str(tmp_path / "nope.svm")},
         "bad-libsvm-label": {"kind": "logreg-file", "path": str(bad_label)},
+        "empty-libsvm-file": {"kind": "logreg-file", "path": str(empty_svm)},
+        "featureless-libsvm-file": {"kind": "logreg-file", "path": str(featureless)},
         "empty-dataset-json": {"kind": "dataset-json", "path": str(empty)},
         **{case: {"kind": "dataset-json", "path": str(path)}
            for case, path in malformed.items()},
@@ -456,6 +462,7 @@ def _bad_problems(tmp_path):
 @pytest.mark.parametrize("command", ["bench", "ref"])
 @pytest.mark.parametrize("case", ["poisson-n-below-k-nonzeros", "negative-lambda",
                                   "missing-libsvm-file", "bad-libsvm-label",
+                                  "empty-libsvm-file", "featureless-libsvm-file",
                                   "empty-dataset-json", "list-dataset-json",
                                   "scalar-matrix-dataset-json",
                                   "scalar-labels-dataset-json"])

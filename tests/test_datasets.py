@@ -71,6 +71,14 @@ def test_libsvm_width_override_and_blank_lines(tmp_path):
         read_libsvm(path, n_features=1)
 
 
+def test_libsvm_index_above_width_names_its_line(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("1 2:1.0\n\n-1 1:1.0 5:2.0\n1 9:1.0\n")
+    with pytest.raises(ParseError, match="index 5 exceeds n_features 3") as exc_info:
+        read_libsvm(path, n_features=3)
+    assert exc_info.value.line == 3
+
+
 # --- random generation -----------------------------------------------------------
 
 def test_rng_spec_determinism():

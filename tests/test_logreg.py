@@ -67,6 +67,10 @@ def test_data_validation():
         LogRegData(A=np.ones((2, 2)), b=np.array([1.0]), lam=1e-3)
     with pytest.raises(ValueError):
         LogRegData(A=np.ones((2, 2)), b=np.array([1.0, -1.0]), lam=0.0)
+    for A, b in ((np.ones((0, 2)), np.ones(0)), (np.ones((2, 0)), np.ones(2)),
+                 (sp.csr_matrix((0, 0)), np.ones(0))):
+        with pytest.raises(ValueError, match="at least one sample and one feature"):
+            LogRegData(A=A, b=b, lam=1e-3)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf])
@@ -152,6 +156,18 @@ def test_lipschitz_bound_matches_eigensolver():
     data, _ = gen_logreg(40, 12, rng=5)
     want = np.linalg.eigvalsh(data.A.T @ data.A).max() / (4.0 * 40)
     assert logistic_lipschitz_bound(data) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_lipschitz_bound_falls_back_to_frobenius(sparse):
+    # integer entries make both sums of squares exact: 23 / (4 m) with m = 4
+    A = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    data = LogRegData(A=sp.csr_matrix(A) if sparse else A,
+                      b=np.array([1.0, -1.0, 1.0, -1.0]), lam=1e-3)
+    with pytest.warns(RuntimeWarning, match="Frobenius") as record:
+        bound = logistic_lipschitz_bound(data, max_iter=1)
+    assert len(record) == 1
+    assert bound == 23.0 / 16.0
 
 
 def test_descent_bound_never_violated_at_lipschitz_constant():
