@@ -30,8 +30,8 @@ from .problem import (ConcavePartOracle, DcProblem, EvaluationDomainError,
                       criticality_residual, least_squares_smooth,
                       nonnegative_orthant, objective, quadratic_smooth,
                       whole_space, zero_concave, zero_proximable)
-from .solver import (RunResult, SolverConfig, StoppingRule, TraceRecord,
-                     adca_run, descent_inequality_slacks,
+from .solver import (RunResult, SolverConfig, StoppingRule, Trace,
+                     TraceRecord, adca_run, descent_inequality_slacks,
                      extrapolation_slacks, pdcae_run, relative_error,
                      sfista_lyapunov, sfista_run, spdcae_run)
 
@@ -44,7 +44,8 @@ __all__ = [
     "IterateState", "LineSearchError", "LogRegData", "ParseError",
     "PoissonCsData", "ProximableOracle", "RunConfig", "RunResult",
     "SmoothOracle", "SolverConfig", "SplitGradientMetricProvider",
-    "StoppingRule", "SummaryRow", "TraceRecord", "adca_run", "backtrack_step",
+    "StoppingRule", "SummaryRow", "Trace", "TraceRecord", "adca_run",
+    "backtrack_step",
     "build_logreg_problem", "build_poisson_problem", "criticality_residual",
     "descent_inequality_slacks", "extrapolation_slacks",
     "gamma", "gen_logreg", "gen_poisson_cs", "growth_factor",

@@ -3,8 +3,8 @@
 A run configuration names one problem, a list of solver profiles, a
 decreasing tolerance grid, and a list of seeds.  Each (solver, seed) cell is
 one solver run; first-hit iteration counts and times for every tolerance are
-read off the run's trace in a single pass, and rows are aggregated over the
-seeds that reached each tolerance.  Reference objective values come from a
+read off the run's trace columns in one search, and rows are aggregated over
+the seeds that reached each tolerance.  Reference objective values come from a
 run of a designated reference solver that stops once its lowest objective
 has fallen by at most 1e-12 relative over 100 accepted iterations, capped at
 ``reference_iterations``.  Runs are sequential and deterministic for a fixed
@@ -32,8 +32,8 @@ from .linesearch import BacktrackConfig
 from .logreg import LogRegData, build_logreg_problem, logistic_lipschitz_bound
 from .poisson import build_poisson_problem
 from .problem import DcProblem, objective
-from .solver import (RunResult, SolverConfig, StoppingRule, TraceRecord,
-                     adca_run, pdcae_run, spdcae_run)
+from .solver import (_CHUNK, RunResult, SolverConfig, StoppingRule, Trace,
+                     _TraceBuffers, adca_run, pdcae_run, spdcae_run)
 
 Array = np.ndarray
 
@@ -428,20 +428,18 @@ def solve_reference(config: RunConfig, out: Optional[str] = None
     return value, iterations, stop_reason
 
 
-def _first_hits(trace: List[TraceRecord], tolerances: List[float]):
-    """First (iteration, seconds) meeting each tolerance, in one pass."""
-    hits: Dict[float, Optional[Tuple[int, float]]] = {t: None for t in tolerances}
-    open_tols = sorted(tolerances, reverse=True)  # loosest first
-    i = 0
-    for rec in trace:
-        if rec.rel_error is None:
-            continue
-        while i < len(open_tols) and rec.rel_error <= open_tols[i]:
-            hits[open_tols[i]] = (rec.k, rec.wall_clock_seconds)
-            i += 1
-        if i == len(open_tols):
-            break
-    return hits
+def _first_hits(trace: Trace, tolerances: List[float]):
+    """First (iteration, seconds) meeting each tolerance, found by one
+    search of the running minimum of the relative error; a missing or NaN
+    error meets none."""
+    rel = trace.rel_error
+    rel = np.where(trace.missing["rel_error"] | np.isnan(rel), np.inf, rel)
+    # the running minimum is nonincreasing, so its negation is sorted
+    lowest = -np.minimum.accumulate(rel)
+    first = np.searchsorted(lowest, -np.asarray(tolerances, dtype=float), side="left")
+    return {tol: (int(trace.k[i]), float(trace.wall_clock_seconds[i]))
+            if i < len(trace) else None
+            for tol, i in zip(tolerances, first.tolist())}
 
 
 @dataclass
@@ -569,6 +567,26 @@ def _fmt(x) -> str:
     return str(x)  # a float's str is its shortest round-tripping repr
 
 
+# Parser of a column -> what its cells must hold; trace counts are int64.
+_CELL_KINDS = {int: "a 64-bit integer", float: "a number", _flag: "a flag, 0 or 1"}
+_FLAG_CELLS = ("0", "1")
+
+
+def _cell_error(line: int, column: str, cell: str, parse) -> ConfigError:
+    return ConfigError(f"trace line {line}, column {column!r}: cannot read "
+                       f"{cell!r} as {_CELL_KINDS[parse]}")
+
+
+def _open_table(fh, columns, what: str):
+    """A CSV reader past the header row; a missing or other header is a
+    ConfigError."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    if found != [column for column, _, _ in columns]:
+        raise ConfigError(f"unexpected {what} header: {found}")
+    return reader
+
+
 def _write_table(path, columns, records) -> None:
     """A header row of the column names, then one row per record."""
     with open(path, "w", newline="", encoding="ascii") as fh:
@@ -581,15 +599,11 @@ def _write_table(path, columns, records) -> None:
 def _read_table(path, columns, record, what: str) -> list:
     """Inverse of ``_write_table``; a missing or other header, or a row of
     the wrong length, is a ConfigError."""
-    header = [column for column, _, _ in columns]
     out = []
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ConfigError(f"unexpected {what} header: {found}")
+        reader = _open_table(fh, columns, what)
         for row in reader:
-            if len(row) != len(header):
+            if len(row) != len(columns):
                 raise ConfigError(f"{what} row {reader.line_num} has {len(row)} fields")
             out.append(record(**{
                 name: None if cell == "" and column in _OPTIONAL_COLUMNS else parse(cell)
@@ -597,14 +611,58 @@ def _read_table(path, columns, record, what: str) -> list:
     return out
 
 
-def write_trace_csv(path, trace: List[TraceRecord]) -> None:
-    """One row per record, one column per TraceRecord field; lossless."""
-    _write_table(path, _TRACE_COLUMNS, trace)
+def _trace_cells(trace: Trace, name: str, lo: int, hi: int):
+    """Rows ``lo:hi`` of column ``name`` as CSV cells."""
+    values = getattr(trace, name)[lo:hi]
+    cells = map(_FLAG_CELLS.__getitem__ if values.dtype == np.bool_ else str,
+                values.tolist())
+    mask = trace.missing.get(name)
+    if mask is None or not mask[lo:hi].any():
+        return cells
+    return ("" if gone else cell for cell, gone in zip(cells, mask[lo:hi].tolist()))
 
 
-def read_trace_csv(path) -> List[TraceRecord]:
-    """Inverse of ``write_trace_csv``; any other header is a ConfigError."""
-    return _read_table(path, _TRACE_COLUMNS, TraceRecord, "trace")
+def write_trace_csv(path, trace) -> None:
+    """One row per record, one column per TraceRecord field; lossless.
+
+    ``trace`` is a ``Trace``, or an iterable of ``TraceRecord``s that is
+    first turned into one.  Rows are formatted from the columns a block of
+    rows at a time, so no record and no full-length list of cells is built.
+    """
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace)
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([column for column, _, _ in _TRACE_COLUMNS])
+        for lo in range(0, len(trace), _CHUNK):
+            writer.writerows(zip(*(_trace_cells(trace, name, lo, lo + _CHUNK)
+                                   for _, name, _ in _TRACE_COLUMNS)))
+
+
+def read_trace_csv(path) -> Trace:
+    """Inverse of ``write_trace_csv``.
+
+    Each row is parsed and appended to the trace's column buffers as it is
+    read; no list of rows or records is held.  Any other header, a row of
+    the wrong length and a cell that does not parse, a ``k`` or
+    ``backtracks`` outside the int64 range among them, are ConfigErrors;
+    the error for a cell names its 1-based line and its column.
+    """
+    buffers = _TraceBuffers()
+    adders = buffers.adders()
+    cells = [(column, parse, column in _OPTIONAL_COLUMNS, adders[name])
+             for column, name, parse in _TRACE_COLUMNS]
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = _open_table(fh, _TRACE_COLUMNS, "trace")
+        for row in reader:
+            if len(row) != len(cells):
+                raise ConfigError(f"trace row {reader.line_num} has {len(row)} fields")
+            for (column, parse, optional, add), cell in zip(cells, row):
+                try:
+                    add(None if optional and cell == "" else parse(cell))
+                except (ValueError, OverflowError):
+                    raise _cell_error(reader.line_num, column, cell, parse) from None
+    return buffers.trace()
 
 
 def write_outputs(config: RunConfig, result: BenchResult) -> None:

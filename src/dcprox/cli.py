@@ -125,32 +125,35 @@ def _cmd_bench(args) -> int:
 
 def _audit_trace(path) -> list:
     trace = read_trace_csv(path)
-    if not trace:
+    if not len(trace):
         return [f"{path}: empty trace"]
-    pairs = list(zip(trace, trace[1:]))
+    F, beta = trace.F_value, trace.beta_used
     # the descent bound's round-off floor, scaled by the previous objective
-    # (the first record, lacking one, uses its own)
-    F_prev = [trace[0].F_value] + [rec.F_value for rec in trace[:-1]]
-    audits = [
-        ("iteration-counter-increasing", all(b.k > a.k for a, b in pairs),
-         "iteration counter not increasing"),
-        ("objective-finite", all(np.isfinite(rec.F_value) for rec in trace),
-         "non-finite objective value"),
-        ("step-size-consistent",
-         all(abs(rec.t * rec.L_accepted - 1.0) <= 1e-9 for rec in trace),
-         "step size inconsistent with accepted L"),
-        ("backtrack-count-nonnegative", all(rec.n_backtracks >= 0 for rec in trace),
-         "negative backtrack count"),
-        ("rejected-gate-zero-beta",
-         all(rec.beta_used == 0.0 for rec in trace if rec.gate_passed is False),
-         "nonzero extrapolation weight on a rejected gate"),
-        ("restart-zero-beta", all(b.beta_used == 0.0 for a, b in pairs if a.restarted),
-         "nonzero extrapolation weight right after a restart"),
-        ("descent-slack-floor",
-         all(rec.descent_slack >= -1e-10 * max(1.0, abs(F))
-             for rec, F in zip(trace, F_prev) if rec.descent_slack is not None),
-         "descent slack below its round-off floor"),
-    ]
+    # (the first record, lacking one, uses its own); fmax, like max(1.0, .),
+    # takes 1.0 over a NaN
+    F_prev = np.concatenate((F[:1], F[:-1]))
+    slack_floor = -1e-10 * np.fmax(1.0, np.abs(F_prev))
+    rejected = ~(trace.gate_passed | trace.missing["gate_passed"])
+    with np.errstate(all="ignore"):  # inf * 0 and overflow fail the audit quietly
+        audits = [
+            ("iteration-counter-increasing", np.all(trace.k[1:] > trace.k[:-1]),
+             "iteration counter not increasing"),
+            ("objective-finite", np.all(np.isfinite(F)),
+             "non-finite objective value"),
+            ("step-size-consistent",
+             np.all(np.abs(trace.t * trace.L_accepted - 1.0) <= 1e-9),
+             "step size inconsistent with accepted L"),
+            ("backtrack-count-nonnegative", np.all(trace.n_backtracks >= 0),
+             "negative backtrack count"),
+            ("rejected-gate-zero-beta", np.all(beta[rejected] == 0.0),
+             "nonzero extrapolation weight on a rejected gate"),
+            ("restart-zero-beta", np.all(beta[1:][trace.restarted[:-1]] == 0.0),
+             "nonzero extrapolation weight right after a restart"),
+            ("descent-slack-floor",
+             np.all((trace.descent_slack >= slack_floor)
+                    | trace.missing["descent_slack"]),
+             "descent slack below its round-off floor"),
+        ]
     failures = []
     for name, ok, problem in audits:
         if ok:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dcprox.bench import (_REFERENCE_STALL_ITERS, BenchResult, ConfigError,
                           run_matrix, solve_reference,
                           write_trace_csv)
 from dcprox.datasets import save_dataset_json
-from dcprox.solver import StoppingRule, TraceRecord, spdcae_run
+from dcprox.solver import StoppingRule, Trace, TraceRecord, spdcae_run
 
 
 def _logreg_cfg(**over):
@@ -207,30 +208,69 @@ def test_config_rejects_empty_seeds():
         RunConfig.from_dict(_logreg_cfg(seeds=[]))
 
 
-def _rec(k, rel_err):
-    return TraceRecord(k=k, F_value=1.0, rel_error=rel_err, L_accepted=1.0,
+def _rec(k, rel_err, F_value=1.0):
+    return TraceRecord(k=k, F_value=F_value, rel_error=rel_err, L_accepted=1.0,
                        t=1.0, n_backtracks=0, beta_used=0.0, restarted=False,
                        wall_clock_seconds=0.01 * k)
 
 
+def _first_hits_by_records(trace, tolerances):
+    """The record-by-record definition of ``_first_hits``: one pass, the
+    loosest open tolerance first, records without a relative error skipped."""
+    hits = {t: None for t in tolerances}
+    open_tols = sorted(tolerances, reverse=True)  # loosest first
+    i = 0
+    for rec in trace:
+        if rec.rel_error is None:
+            continue
+        while i < len(open_tols) and rec.rel_error <= open_tols[i]:
+            hits[open_tols[i]] = (rec.k, rec.wall_clock_seconds)
+            i += 1
+        if i == len(open_tols):
+            break
+    return hits
+
+
 def test_first_hits_takes_earliest_crossing():
-    trace = [_rec(1, 0.5), _rec(2, 0.09), _rec(3, 0.2), _rec(4, 0.008)]
+    trace = Trace.from_records([_rec(1, 0.5), _rec(2, 0.09), _rec(3, 0.2),
+                                _rec(4, 0.008)])
     hits = _first_hits(trace, [0.1, 0.01])
     assert hits[0.1] == (2, 0.02)  # later excursion above 0.1 does not undo it
     assert hits[0.01] == (4, 0.04)
 
 
 def test_first_hits_handles_misses_and_missing_errors():
-    trace = [_rec(1, None), _rec(2, 0.5)]
+    trace = Trace.from_records([_rec(1, None), _rec(2, 0.5)])
     hits = _first_hits(trace, [0.1, 0.01])
     assert hits[0.1] is None and hits[0.01] is None
 
 
+_rel_errors = (st.none() | st.floats(allow_infinity=True)
+               | st.sampled_from([0.5, 0.1, 0.05, 0.01, 0.001, 0.0]))
+_tolerance_grids = st.lists(st.sampled_from([0.2, 0.1, 0.05, 0.01, 1e-3, 1e-6]),
+                            min_size=1, unique=True).map(
+                                lambda tols: sorted(tols, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rel_errors, max_size=12), _tolerance_grids)
+# a missing error, a NaN objective (and so a NaN error), and an excursion
+# above a tolerance already crossed
+@example([None, 0.5, float("nan"), 0.09, 0.2, None, 0.008, 0.5], [0.1, 0.01])
+def test_first_hits_matches_record_loop(rels, tolerances):
+    trace = [_rec(k, rel, F_value=float("nan") if rel != rel else 1.0)
+             for k, rel in enumerate(rels, 1)]
+    assert _first_hits(Trace.from_records(trace), tolerances) == \
+        _first_hits_by_records(trace, tolerances)
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# trace counts are int64 columns
+_int64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 _records = st.builds(
-    TraceRecord, k=st.integers(), F_value=_finite,
+    TraceRecord, k=_int64, F_value=_finite,
     rel_error=st.none() | _finite, L_accepted=_finite, t=_finite,
-    n_backtracks=st.integers(), beta_used=_finite, restarted=st.booleans(),
+    n_backtracks=_int64, beta_used=_finite, restarted=st.booleans(),
     wall_clock_seconds=_finite, descent_slack=st.none() | _finite,
     gate_passed=st.none() | st.booleans())
 
@@ -252,6 +292,32 @@ def test_trace_csv_round_trip(trace):
     # every field, floats exactly: repr round-trips doubles
     assert [dataclasses.astuple(r) for r in back] == \
         [dataclasses.astuple(r) for r in trace]
+
+
+@pytest.mark.parametrize("field", ["k", "n_backtracks"])
+def test_trace_counts_outside_int64_are_rejected(tmp_path, field):
+    # one past the round trip's int64 range; reading such a cell is a
+    # ConfigError (tests/test_cli.py)
+    rec = dataclasses.replace(_rec(1, None), **{field: 2**63})
+    with pytest.raises(OverflowError):
+        write_trace_csv(tmp_path / "trace.csv", [rec])
+
+
+def test_run_trace_stays_small():
+    """A 10000-iteration Poisson run holds its trace in columns: the run's
+    records as objects alone would take about 3 MB."""
+    cfg = RunConfig.from_dict(_poisson_cfg())
+    problem, x0 = _instance(_build_base(cfg.problem), 0)
+    config = _profile("pdcae0", "poisson", {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = spdcae_run(problem, config, StoppingRule(max_iter=10000), x0=x0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.n_iterations == 10000
+    assert grown < 2_000_000
 
 
 def test_trace_csv_rejects_foreign_header(tmp_path):

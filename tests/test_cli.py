@@ -111,8 +111,10 @@ def test_check_passes_on_real_outputs(tmp_path, capsys):
 
 
 def _solver_traces():
-    """An adca trace with rejected gates and an spdcae trace with restarts
-    and descent slacks, both on an l1 - l2 least-squares problem."""
+    """An adca trace with rejected gates and an spdcae trace with restarts,
+    relative errors and descent slacks, both on an l1 - l2 least-squares
+    problem, so each optional column is missing in one and present in the
+    other."""
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 40))
     y = rng.standard_normal(30)
@@ -121,7 +123,8 @@ def _solver_traces():
     L = float(np.linalg.eigvalsh(A.T @ A).max())
     stop = StoppingRule(max_iter=150)
     gated = adca_run(prob, L, 0, stop, x0=np.zeros(40)).trace
-    restarted = spdcae_run(prob, SolverConfig(T2=10), stop, x0=np.zeros(40),
+    restarted = spdcae_run(prob, SolverConfig(T2=10),
+                           StoppingRule(max_iter=150, ref_value=1.0), x0=np.zeros(40),
                            diagnostics=True).trace
     return gated, restarted
 
@@ -138,27 +141,66 @@ def test_check_passes_on_solver_traces(tmp_path, capsys):
     assert main(["check", *paths]) == 0
 
 
-@pytest.mark.parametrize("audit", ["gate", "restart", "slack"])
+def test_trace_csv_from_trace_and_from_records_is_byte_identical(tmp_path):
+    for i, trace in enumerate(_solver_traces()):
+        columns, records = tmp_path / f"columns{i}.csv", tmp_path / f"records{i}.csv"
+        write_trace_csv(columns, trace)
+        write_trace_csv(records, list(trace))
+        assert columns.read_bytes() == records.read_bytes()
+        # a trace read back, with per-row masks, writes the same bytes again
+        again = tmp_path / f"again{i}.csv"
+        write_trace_csv(again, read_trace_csv(columns))
+        assert again.read_bytes() == columns.read_bytes()
+
+
+@pytest.mark.parametrize("audit", ["gate", "restart", "slack", "counter",
+                                   "objective", "step"])
 def test_check_flags_doctored_trace(tmp_path, capsys, audit):
     gated, restarted = _solver_traces()
+    # a Trace builds fresh records on access: edit a list of them instead
+    trace = list(gated if audit == "gate" else restarted)
     if audit == "gate":
-        trace = gated
         i = next(i for i, rec in enumerate(trace) if rec.gate_passed is False)
         trace[i].beta_used = 0.5
         message = "rejected gate"
     elif audit == "restart":
-        trace = restarted
         i = next(i for i, rec in enumerate(trace[:-1]) if rec.restarted)
         trace[i + 1].beta_used = 0.5
         message = "right after a restart"
-    else:
-        trace = restarted
+    elif audit == "slack":
         trace[3].descent_slack = -1e-6 * max(1.0, abs(trace[2].F_value))
         message = "descent slack"
+    elif audit == "counter":
+        trace[7].k = trace[6].k
+        message = "iteration counter not increasing"
+    elif audit == "objective":
+        trace[9].F_value = float("inf")
+        message = "non-finite objective value"
+    else:
+        trace[11].t = 1.01 / trace[11].L_accepted
+        message = "step size inconsistent"
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     assert main(["check", "--trace", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, cell", [("backtracks", "1.5"), ("k", "x"),
+                                          ("k", str(2**63)),
+                                          ("backtracks", str(-2**63 - 1)),
+                                          ("restarted", "2"), ("F", "")])
+def test_check_names_the_cell_it_cannot_read(tmp_path, capsys, column, cell):
+    gated, _ = _solver_traces()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, gated)
+    lines = path.read_text().splitlines()
+    row = lines[4].split(",")
+    row[lines[0].split(",").index(column)] = cell
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--trace", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"unreadable trace (trace line 5, column '{column}': cannot read {cell!r}" in err
 
 
 def test_check_flags_corrupted_trace(tmp_path, capsys):

@@ -18,8 +18,8 @@ from dcprox.problem import (ConcavePartOracle, DcProblem, SmoothOracle,
                             criticality_residual, least_squares_smooth,
                             nonnegative_orthant, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
-from dcprox.solver import (RunResult, SolverConfig, StoppingRule,
-                           adca_run, descent_inequality_slacks,
+from dcprox.solver import (RunResult, SolverConfig, StoppingRule, Trace,
+                           TraceRecord, adca_run, descent_inequality_slacks,
                            extrapolation_slacks, pdcae_run, relative_error,
                            sfista_lyapunov, sfista_run, spdcae_run)
 
@@ -506,6 +506,68 @@ def test_trace_bookkeeping(runner):
             == (r.k, r.L_accepted, r.t, r.n_backtracks, r.beta_used, r.restarted,
                 r.gate_passed)
         assert objective(prob, s.x, s.f) == r.F_value
+
+
+def _records_from_snapshots(prob, res, ref, slacks):
+    """The trace records of ``res``, built from its snapshots one object per
+    iteration (as the loop once stored them), its wall-clock seconds taken
+    from the trace."""
+    records = []
+    for s, seconds, slack in zip(res.states, res.trace.wall_clock_seconds.tolist(),
+                                 slacks):
+        F = objective(prob, s.x, s.f)
+        records.append(TraceRecord(
+            k=s.k, F_value=F, rel_error=None if ref is None else relative_error(F, ref),
+            L_accepted=s.L, t=s.t, n_backtracks=s.n_backtracks, beta_used=s.beta,
+            restarted=s.restarted, wall_clock_seconds=seconds,
+            descent_slack=slack, gate_passed=s.gate_passed))
+    return records
+
+
+@pytest.mark.parametrize("runner", ["adca", "spdcae-diagnostics"])
+def test_trace_reads_as_the_records_of_its_snapshots(runner):
+    _, A, y, _, L = _lasso_problem(m=30, n=40)
+    prob = DcProblem(f=least_squares_smooth(A, y), g=l1_proximable(0.5),
+                     h=l2_concave(0.5), feasible_set=whole_space())
+    x0 = np.zeros(40)
+    if runner == "adca":
+        ref = None
+        res = adca_run(prob, L, 0, StoppingRule(max_iter=2500), x0=x0,
+                       keep_states=True)
+        slacks = [None] * res.n_iterations
+    else:
+        ref = 1.0
+        res = spdcae_run(prob, SolverConfig(T2=10),
+                         StoppingRule(max_iter=2500, ref_value=ref), x0=x0,
+                         keep_states=True, diagnostics=True)
+        slacks = descent_inequality_slacks(prob, res).tolist()
+    assert isinstance(res.trace, Trace) and res.n_iterations == 2500
+    expected = _records_from_snapshots(prob, res, ref, slacks)
+    trace = res.trace
+
+    def same(got, want):
+        # field by field, with the field types the records always had
+        assert [(type(getattr(r, f.name)), getattr(r, f.name))
+                for r in got for f in dataclasses.fields(r)] == \
+            [(type(getattr(r, f.name)), getattr(r, f.name))
+             for r in want for f in dataclasses.fields(r)]
+
+    same(list(trace), expected)  # iteration crosses several row blocks
+    same([trace[i] for i in range(len(trace))], expected)
+    same([trace[i] for i in range(-len(trace), 0)], expected)
+    for part in (slice(None), slice(1000, 1030), slice(-5, None), slice(None, -2400),
+                 slice(None, None, 7), slice(2400, 1000, -3), slice(3000, 4000)):
+        assert isinstance(trace[part], Trace)
+        same(list(trace[part]), expected[part])
+    for bad in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[bad]
+    assert trace == expected and trace[:10] != expected[:9]
+    edited = trace[5]
+    edited.beta_used = -1.0
+    assert trace[5] == expected[5]  # records are built fresh on each access
+    assert res.F_final == expected[-1].F_value
+    assert Trace.from_records(expected) == trace
 
 
 def test_diagnostics_fill_descent_slack():
