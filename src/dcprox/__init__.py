@@ -8,9 +8,7 @@ benchmark harness for synthetic logistic and Poisson inverse problems.
 """
 
 from .accel import BetaSchedule, theta_next
-from .bench import (BenchResult, ConfigError, RunConfig, SummaryRow,
-                    read_summary_csv, read_trace_csv, run_matrix,
-                    write_trace_csv)
+from .bench import BenchResult, RunConfig, run_matrix
 from .datasets import (ParseError, gen_logreg, gen_poisson_cs,
                        load_dataset_json, make_rng, poisson_sample,
                        read_libsvm, resample_counts, save_dataset_json,
@@ -30,10 +28,12 @@ from .problem import (ConcavePartOracle, DcProblem, EvaluationDomainError,
                       criticality_residual, least_squares_smooth,
                       nonnegative_orthant, objective, quadratic_smooth,
                       whole_space, zero_concave, zero_proximable)
-from .solver import (RunResult, SolverConfig, StoppingRule, Trace,
-                     TraceRecord, adca_run, descent_inequality_slacks,
-                     extrapolation_slacks, pdcae_run, relative_error,
-                     sfista_lyapunov, sfista_run, spdcae_run)
+from .solver import (RunResult, SolverConfig, StoppingRule, adca_run,
+                     descent_inequality_slacks, extrapolation_slacks,
+                     pdcae_run, relative_error, sfista_lyapunov, sfista_run,
+                     spdcae_run)
+from .trace import (ConfigError, SummaryRow, Trace, TraceRecord, audit_trace,
+                    read_summary_csv, read_trace_csv, write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "PoissonCsData", "ProximableOracle", "RunConfig", "RunResult",
     "SmoothOracle", "SolverConfig", "SplitGradientMetricProvider",
     "StoppingRule", "SummaryRow", "Trace", "TraceRecord", "adca_run",
-    "backtrack_step",
+    "audit_trace", "backtrack_step",
     "build_logreg_problem", "build_poisson_problem", "criticality_residual",
     "descent_inequality_slacks", "extrapolation_slacks",
     "gamma", "gen_logreg", "gen_poisson_cs", "growth_factor",

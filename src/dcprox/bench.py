@@ -14,7 +14,6 @@ configuration.
 from __future__ import annotations
 
 import contextlib
-import csv
 import fnmatch
 import json
 import math
@@ -32,14 +31,12 @@ from .linesearch import BacktrackConfig
 from .logreg import LogRegData, build_logreg_problem, logistic_lipschitz_bound
 from .poisson import build_poisson_problem
 from .problem import DcProblem, objective
-from .solver import (_CHUNK, RunResult, SolverConfig, StoppingRule, Trace,
-                     _TraceBuffers, adca_run, pdcae_run, spdcae_run)
+from .solver import (RunResult, SolverConfig, StoppingRule, adca_run,
+                     pdcae_run, spdcae_run)
+from .trace import (ConfigError, SummaryRow, Trace, _write_summary_csv,
+                    write_trace_csv)
 
 Array = np.ndarray
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; the command line maps this to exit code 2."""
 
 
 def _json_bool(value) -> bool:
@@ -299,22 +296,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
-@dataclass
-class SummaryRow:
-    """Aggregate of one (solver, tolerance) pair over the seed list.
-
-    Means cover only the seeds whose run reached the tolerance; ``max_flag``
-    marks rows where some seed exhausted the iteration cap first.
-    """
-
-    solver: str
-    tol: float
-    mean_iterations: Optional[float]
-    mean_seconds: Optional[float]
-    hit_rate: float
-    max_flag: bool
-
-
 # --- problem construction ----------------------------------------------------
 
 @dataclass
@@ -534,144 +515,13 @@ def run_matrix(config: RunConfig) -> BenchResult:
     return result
 
 
-# --- persistence ---------------------------------------------------------------
-
-def _flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(f"flag must be 0 or 1, not {cell!r}")
-    return cell == "1"
-
-
-# (column, record field, parser); an empty cell reads back as None in the
-# optional columns.
-_TRACE_COLUMNS = (("k", "k", int), ("F", "F_value", float),
-                  ("rel_err", "rel_error", float), ("L", "L_accepted", float),
-                  ("t", "t", float), ("backtracks", "n_backtracks", int),
-                  ("beta", "beta_used", float), ("restarted", "restarted", _flag),
-                  ("seconds", "wall_clock_seconds", float),
-                  ("descent_slack", "descent_slack", float),
-                  ("gate_passed", "gate_passed", _flag))
-_SUMMARY_COLUMNS = (("solver", "solver", str), ("tol", "tol", float),
-                    ("mean_iterations", "mean_iterations", float),
-                    ("mean_seconds", "mean_seconds", float),
-                    ("hit_rate", "hit_rate", float), ("max_flag", "max_flag", _flag))
-_OPTIONAL_COLUMNS = {"rel_err", "descent_slack", "gate_passed",
-                     "mean_iterations", "mean_seconds"}
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    return str(x)  # a float's str is its shortest round-tripping repr
-
-
-# Parser of a column -> what its cells must hold; trace counts are int64.
-_CELL_KINDS = {int: "a 64-bit integer", float: "a number", _flag: "a flag, 0 or 1"}
-_FLAG_CELLS = ("0", "1")
-
-
-def _cell_error(line: int, column: str, cell: str, parse) -> ConfigError:
-    return ConfigError(f"trace line {line}, column {column!r}: cannot read "
-                       f"{cell!r} as {_CELL_KINDS[parse]}")
-
-
-def _open_table(fh, columns, what: str):
-    """A CSV reader past the header row; a missing or other header is a
-    ConfigError."""
-    reader = csv.reader(fh)
-    found = next(reader, None)
-    if found != [column for column, _, _ in columns]:
-        raise ConfigError(f"unexpected {what} header: {found}")
-    return reader
-
-
-def _write_table(path, columns, records) -> None:
-    """A header row of the column names, then one row per record."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([column for column, _, _ in columns])
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, name)) for _, name, _ in columns])
-
-
-def _read_table(path, columns, record, what: str) -> list:
-    """Inverse of ``_write_table``; a missing or other header, or a row of
-    the wrong length, is a ConfigError."""
-    out = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = _open_table(fh, columns, what)
-        for row in reader:
-            if len(row) != len(columns):
-                raise ConfigError(f"{what} row {reader.line_num} has {len(row)} fields")
-            out.append(record(**{
-                name: None if cell == "" and column in _OPTIONAL_COLUMNS else parse(cell)
-                for (column, name, parse), cell in zip(columns, row)}))
-    return out
-
-
-def _trace_cells(trace: Trace, name: str, lo: int, hi: int):
-    """Rows ``lo:hi`` of column ``name`` as CSV cells."""
-    values = getattr(trace, name)[lo:hi]
-    cells = map(_FLAG_CELLS.__getitem__ if values.dtype == np.bool_ else str,
-                values.tolist())
-    mask = trace.missing.get(name)
-    if mask is None or not mask[lo:hi].any():
-        return cells
-    return ("" if gone else cell for cell, gone in zip(cells, mask[lo:hi].tolist()))
-
-
-def write_trace_csv(path, trace) -> None:
-    """One row per record, one column per TraceRecord field; lossless.
-
-    ``trace`` is a ``Trace``, or an iterable of ``TraceRecord``s that is
-    first turned into one.  Rows are formatted from the columns a block of
-    rows at a time, so no record and no full-length list of cells is built.
-    """
-    if not isinstance(trace, Trace):
-        trace = Trace.from_records(trace)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([column for column, _, _ in _TRACE_COLUMNS])
-        for lo in range(0, len(trace), _CHUNK):
-            writer.writerows(zip(*(_trace_cells(trace, name, lo, lo + _CHUNK)
-                                   for _, name, _ in _TRACE_COLUMNS)))
-
-
-def read_trace_csv(path) -> Trace:
-    """Inverse of ``write_trace_csv``.
-
-    Each row is parsed and appended to the trace's column buffers as it is
-    read; no list of rows or records is held.  Any other header, a row of
-    the wrong length and a cell that does not parse, a ``k`` or
-    ``backtracks`` outside the int64 range among them, are ConfigErrors;
-    the error for a cell names its 1-based line and its column.
-    """
-    buffers = _TraceBuffers()
-    adders = buffers.adders()
-    cells = [(column, parse, column in _OPTIONAL_COLUMNS, adders[name])
-             for column, name, parse in _TRACE_COLUMNS]
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = _open_table(fh, _TRACE_COLUMNS, "trace")
-        for row in reader:
-            if len(row) != len(cells):
-                raise ConfigError(f"trace row {reader.line_num} has {len(row)} fields")
-            for (column, parse, optional, add), cell in zip(cells, row):
-                try:
-                    add(None if optional and cell == "" else parse(cell))
-                except (ValueError, OverflowError):
-                    raise _cell_error(reader.line_num, column, cell, parse) from None
-    return buffers.trace()
-
-
 def write_outputs(config: RunConfig, result: BenchResult) -> None:
     """The trace and summary files of ``result`` in the existing directory
     ``config.out_dir``."""
     for (name, seed), run in result.runs.items():
         write_trace_csv(os.path.join(config.out_dir, _trace_file(name, seed)), run.trace)
     rows = result.summary
-    _write_table(os.path.join(config.out_dir, "summary.csv"), _SUMMARY_COLUMNS, rows)
+    _write_summary_csv(os.path.join(config.out_dir, "summary.csv"), rows)
     payload = {"reference_values": {str(k): v for k, v in result.references.items()},
                "reference_stops": {str(k): {"iterations": n, "stop_reason": r}
                                    for k, (n, r) in result.reference_stops.items()},
@@ -679,9 +529,3 @@ def write_outputs(config: RunConfig, result: BenchResult) -> None:
     with open(os.path.join(config.out_dir, "summary.json"), "w",
               encoding="ascii") as fh:
         json.dump(payload, fh, indent=1)
-
-
-def read_summary_csv(path) -> List[SummaryRow]:
-    """Inverse of the ``summary.csv`` that ``write_outputs`` writes; any other
-    header is a ConfigError."""
-    return _read_table(path, _SUMMARY_COLUMNS, SummaryRow, "summary")

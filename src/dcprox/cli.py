@@ -14,13 +14,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bench import (ConfigError, RunConfig, _build_base, _problem_options,
-                    read_summary_csv, read_trace_csv, run_matrix,
-                    solve_reference)
+                    run_matrix, solve_reference)
 from .datasets import save_dataset_json
 from .linesearch import LineSearchError
+from .trace import _audit_summary, audit_trace, read_summary_csv, read_trace_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,76 +121,23 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _audit_trace(path) -> list:
-    trace = read_trace_csv(path)
-    if not len(trace):
-        return [f"{path}: empty trace"]
-    F, beta = trace.F_value, trace.beta_used
-    # the descent bound's round-off floor, scaled by the previous objective
-    # (the first record, lacking one, uses its own); fmax, like max(1.0, .),
-    # takes 1.0 over a NaN
-    F_prev = np.concatenate((F[:1], F[:-1]))
-    slack_floor = -1e-10 * np.fmax(1.0, np.abs(F_prev))
-    rejected = ~(trace.gate_passed | trace.missing["gate_passed"])
-    with np.errstate(all="ignore"):  # inf * 0 and overflow fail the audit quietly
-        audits = [
-            ("iteration-counter-increasing", np.all(trace.k[1:] > trace.k[:-1]),
-             "iteration counter not increasing"),
-            ("objective-finite", np.all(np.isfinite(F)),
-             "non-finite objective value"),
-            ("step-size-consistent",
-             np.all(np.abs(trace.t * trace.L_accepted - 1.0) <= 1e-9),
-             "step size inconsistent with accepted L"),
-            ("backtrack-count-nonnegative", np.all(trace.n_backtracks >= 0),
-             "negative backtrack count"),
-            ("rejected-gate-zero-beta", np.all(beta[rejected] == 0.0),
-             "nonzero extrapolation weight on a rejected gate"),
-            ("restart-zero-beta", np.all(beta[1:][trace.restarted[:-1]] == 0.0),
-             "nonzero extrapolation weight right after a restart"),
-            ("descent-slack-floor",
-             np.all((trace.descent_slack >= slack_floor)
-                    | trace.missing["descent_slack"]),
-             "descent slack below its round-off floor"),
-        ]
-    failures = []
-    for name, ok, problem in audits:
-        if ok:
-            print(f"check {path}: {name} ok")
-        else:
-            failures.append(f"{path}: {problem}")
-    return failures
-
-
-def _audit_summary(path) -> list:
-    failures = []
-    by_solver = {}
-    for row in read_summary_csv(path):
-        by_solver.setdefault(row.solver, []).append(row)
-    for solver, group in by_solver.items():
-        group = sorted(group, key=lambda r: -r.tol)  # loosest first
-        present = [r.mean_iterations for r in group if r.mean_iterations is not None]
-        if any(b < a for a, b in zip(present, present[1:])):
-            failures.append(f"{path}: first-hit iterations decrease as {solver} "
-                            "tolerance tightens")
-        rates = [r.hit_rate for r in group]
-        if any(b > a for a, b in zip(rates, rates[1:])):
-            failures.append(f"{path}: hit rate increases as {solver} tolerance tightens")
-    if not failures:
-        print(f"check {path}: first-hit-monotone ok")
-    return failures
-
-
 def _cmd_check(args) -> int:
     if not args.trace and not args.summary:
         raise ConfigError("check needs at least one --trace or --summary")
     failures = []
-    for what, audit, paths in (("trace", _audit_trace, args.trace),
-                               ("summary", _audit_summary, args.summary)):
+    for what, read, audit, paths in (
+            ("trace", read_trace_csv, audit_trace, args.trace),
+            ("summary", read_summary_csv, _audit_summary, args.summary)):
         for path in paths:
             try:
-                failures.extend(audit(path))
+                results = audit(read(path))
             except (OSError, ValueError) as exc:
-                failures.append(f"{path}: unreadable {what} ({exc})")
+                results = [(what, False, f"unreadable {what} ({exc})")]
+            for name, passed, problem in results:
+                if passed:
+                    print(f"check {path}: {name} ok")
+                else:
+                    failures.append(f"{path}: {problem}")
     for line in failures:
         print(f"check FAIL {line}", file=sys.stderr)
     return 3 if failures else 0

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import time
 import warnings
-from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -36,6 +33,7 @@ from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
                      identity_metric)
 from .problem import DcProblem, criticality_residual, objective
+from .trace import Trace, _TraceBuffers
 
 Array = np.ndarray
 
@@ -81,171 +79,6 @@ def relative_error(F: float, ref: float) -> float:
     if ref > 0.0:
         return (F - ref) / ref
     return F - ref
-
-
-@dataclass
-class TraceRecord:
-    """One accepted outer iteration, as written to trace CSVs."""
-
-    k: int
-    F_value: float
-    rel_error: float | None
-    L_accepted: float
-    t: float
-    n_backtracks: int
-    beta_used: float
-    restarted: bool
-    wall_clock_seconds: float
-    descent_slack: float | None = None
-    gate_passed: bool | None = None
-
-
-# Field -> (array typecode of its growable buffer, numpy dtype of its column).
-_COLUMN_TYPES = {"k": ("q", np.int64), "F_value": ("d", np.float64),
-                 "rel_error": ("d", np.float64), "L_accepted": ("d", np.float64),
-                 "t": ("d", np.float64), "n_backtracks": ("q", np.int64),
-                 "beta_used": ("d", np.float64), "restarted": ("B", np.bool_),
-                 "wall_clock_seconds": ("d", np.float64),
-                 "descent_slack": ("d", np.float64), "gate_passed": ("B", np.bool_)}
-_FIELDS = tuple(_COLUMN_TYPES)
-# Optional field -> the value its column holds on a row where it is missing.
-_MISSING_FILL = {"rel_error": math.nan, "descent_slack": math.nan, "gate_passed": False}
-# Rows per block when records are built from the columns or written out.
-_CHUNK = 1024
-
-
-def _column(values, dtype) -> Array:
-    """``values`` as a read-only 1-D array; an ``array.array`` buffer is
-    viewed, not copied."""
-    if isinstance(values, array):
-        col = np.frombuffer(values, dtype)
-    else:
-        col = np.asarray(values, dtype).view()
-    col.flags.writeable = False
-    return col
-
-
-def _constant(value, n: int) -> Array:
-    """A length-``n`` column holding ``value`` on every row, in no memory."""
-    return np.broadcast_to(np.asarray(value), (n,))
-
-
-class Trace(Sequence):
-    """The accepted iterations of a run, one read-only numpy column per
-    ``TraceRecord`` field.
-
-    ``trace.F_value``, ``trace.k``, ... are the columns, named as the
-    record fields.  The optional fields ``rel_error``, ``descent_slack`` and
-    ``gate_passed`` have per-row masks in ``trace.missing``; a missing row
-    holds NaN (``False`` for ``gate_passed``) in its column and reads back
-    as None.  As a sequence of records, ``len``, indexing (negative indices
-    too) and iteration build ``TraceRecord``s on access, a block of rows at
-    a time; a slice is a ``Trace`` over views of the same columns.  Records
-    built from the columns are fresh: editing one leaves the trace as it
-    was.  Two traces, or a trace and a list of records, are equal when
-    their records are.
-    """
-
-    __slots__ = _FIELDS + ("missing",)
-
-    def __init__(self, columns: dict, missing: dict):
-        """``columns`` maps every ``TraceRecord`` field to its values and
-        ``missing`` every optional field to its bool mask, all of one
-        length; ``array.array`` buffers are viewed without a copy."""
-        for name, (_, dtype) in _COLUMN_TYPES.items():
-            setattr(self, name, _column(columns[name], dtype))
-        self.missing = {name: _column(missing[name], np.bool_)
-                        for name in _MISSING_FILL}
-        if len({len(getattr(self, name)) for name in _FIELDS}
-               | {len(mask) for mask in self.missing.values()}) > 1:
-            raise ValueError("trace columns differ in length")
-
-    @classmethod
-    def from_records(cls, records) -> "Trace":
-        """The trace holding ``records``, an iterable of ``TraceRecord``s."""
-        buffers = _TraceBuffers()
-        adders = buffers.adders().items()
-        for rec in records:
-            for name, add in adders:
-                add(getattr(rec, name))
-        return buffers.trace()
-
-    def __len__(self) -> int:
-        return len(self.k)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace({name: getattr(self, name)[index] for name in _FIELDS},
-                         {name: mask[index] for name, mask in self.missing.items()})
-        n = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace index out of range")
-        return TraceRecord(*(None if name in self.missing and self.missing[name].item(i)
-                             else getattr(self, name).item(i) for name in _FIELDS))
-
-    def __iter__(self):
-        return self._records(0, len(self))
-
-    def _records(self, lo: int, hi: int):
-        for a in range(lo, hi, _CHUNK):
-            b = min(a + _CHUNK, hi)
-            yield from map(TraceRecord, *(self._values(name, a, b) for name in _FIELDS))
-
-    def _values(self, name: str, a: int, b: int) -> list:
-        """Rows ``a:b`` of column ``name`` as Python values, None where missing."""
-        values = getattr(self, name)[a:b]
-        mask = self.missing.get(name)
-        if mask is not None:
-            mask = mask[a:b]
-            if mask.all():
-                return [None] * (b - a)
-            if mask.any():
-                return [None if gone else v
-                        for v, gone in zip(values.tolist(), mask.tolist())]
-        return values.tolist()
-
-    def __eq__(self, other):
-        if not isinstance(other, (Trace, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"Trace({len(self)} records)"
-
-
-class _TraceBuffers:
-    """One growable buffer per field, and a missing-flag buffer per optional
-    field, that a trace is appended to row by row."""
-
-    def __init__(self):
-        self.values = {name: array(code) for name, (code, _) in _COLUMN_TYPES.items()}
-        self.missing = {name: array("B") for name in _MISSING_FILL}
-
-    def adders(self) -> dict:
-        """Field -> a callable appending a row's value to the field's
-        buffer; an optional field's takes None for a missing value."""
-        adders = {name: self.values[name].append for name in _FIELDS}
-        for name, fill in _MISSING_FILL.items():
-            adders[name] = _optional_adder(adders[name], self.missing[name].append,
-                                           fill)
-        return adders
-
-    def trace(self) -> Trace:
-        return Trace(self.values, self.missing)
-
-
-def _optional_adder(append, append_missing, fill):
-    def add(value):
-        if value is None:
-            append(fill)
-            append_missing(True)
-        else:
-            append(value)
-            append_missing(False)
-    return add
 
 
 @dataclass
@@ -352,23 +185,22 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     ``on_value`` receives each accepted objective value.  The running
     minima of the stall window are kept only for a stall clause.
 
-    Each accepted iteration's scalars are appended to growable typed
-    buffers, one per trace field, through bound ``append`` methods; the
-    iteration counter, a relative error without a reference and a descent
-    slack without ``diagnostics`` are not stored per row.  The finished
-    buffers become the trace's columns without a copy.
+    Each accepted iteration's scalars go to ``_TraceBuffers`` through bound
+    ``append`` methods held in locals; the iteration counter, a relative
+    error without a reference and a descent slack without ``diagnostics``
+    are not stored per row.  ``_TraceBuffers.trace`` fills them in and
+    makes the buffers the trace's columns without a copy.
     """
     stop = stop or StoppingRule()
     z0 = problem.f.A @ x0
     state = IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0)
     ref = stop.ref_value
-    columns = {name: array(code) for name, (code, _) in _COLUMN_TYPES.items()}
+    buffers = _TraceBuffers()
     (add_F, add_rel, add_L, add_t, add_backtracks, add_beta, add_restarted,
-     add_seconds, add_slack) = (columns[name].append for name in (
+     add_seconds, add_slack, add_gate) = (buffers.values[name].append for name in (
          "F_value", "rel_error", "L_accepted", "t", "n_backtracks", "beta_used",
-         "restarted", "wall_clock_seconds", "descent_slack"))
-    gates = array("b")  # 1 passed, 0 rejected, -1 no gate decision
-    add_gate = gates.append
+         "restarted", "wall_clock_seconds", "descent_slack", "gate_passed"))
+    add_no_gate = buffers.missing["gate_passed"].append
     states: List[IterationSnapshot] = []
     t_start = time.perf_counter()
     stop_reason = "max_iter"
@@ -397,7 +229,8 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         add_restarted(s.restarted)
         add_seconds(time.perf_counter() - t_start)
         gate = s.gate_passed
-        add_gate(-1 if gate is None else gate)
+        add_gate(bool(gate))
+        add_no_gate(gate is None)
         if diagnostics:
             add_slack(_slack(F_prev, F, state.x_prev, s.y, s.x, s.t, s.metric))
             F_prev = F
@@ -413,17 +246,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
             stop_reason = reason
             break
 
-    n = len(columns["F_value"])
-    gates = np.frombuffer(gates, np.int8)
-    columns.update(k=np.arange(1, n + 1), gate_passed=gates > 0)
-    if ref is None:
-        columns["rel_error"] = _constant(math.nan, n)
-    if not diagnostics:
-        columns["descent_slack"] = _constant(math.nan, n)
-    trace = Trace(columns, {"rel_error": _constant(ref is None, n),
-                            "descent_slack": _constant(not diagnostics, n),
-                            "gate_passed": gates < 0})
-    return RunResult(x=state.x_prev, trace=trace,
+    return RunResult(x=state.x_prev, trace=buffers.trace(),
                      states=states if keep_states else None,
                      stop_reason=stop_reason, x0=x0)
 

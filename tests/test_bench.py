@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from dcprox import bench
 from dcprox.bench import (_REFERENCE_STALL_ITERS, BenchResult, ConfigError,
                           RunConfig, _build_base, _first_hits, _instance,
-                          _profile, read_summary_csv, read_trace_csv,
-                          run_matrix, solve_reference,
-                          write_trace_csv)
+                          _profile, run_matrix, solve_reference)
 from dcprox.datasets import save_dataset_json
-from dcprox.solver import StoppingRule, Trace, TraceRecord, spdcae_run
+from dcprox.solver import StoppingRule, spdcae_run
+from dcprox.trace import (Trace, TraceRecord, read_summary_csv, read_trace_csv,
+                          write_trace_csv)
 
 
 def _logreg_cfg(**over):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dcprox.bench import read_summary_csv, read_trace_csv, write_trace_csv
+from dcprox.trace import (_audit_summary, audit_trace, read_summary_csv,
+                          read_trace_csv, write_trace_csv)
 from dcprox.cli import main
 from dcprox.datasets import load_dataset_json
 from dcprox.logreg import build_logreg_problem, l1_proximable, l2_concave
@@ -153,8 +154,17 @@ def test_trace_csv_from_trace_and_from_records_is_byte_identical(tmp_path):
         assert again.read_bytes() == columns.read_bytes()
 
 
-@pytest.mark.parametrize("audit", ["gate", "restart", "slack", "counter",
-                                   "objective", "step"])
+# Doctored-trace case -> the audit it breaks; every audit has a case.
+_DOCTORED = {"gate": "rejected-gate-zero-beta", "restart": "restart-zero-beta",
+             "slack": "descent-slack-floor", "counter": "iteration-counter-increasing",
+             "objective": "objective-finite", "step": "step-size-consistent",
+             "backtracks": "backtrack-count-nonnegative",
+             "step-sign": "step-size-positive", "beta": "beta-nonnegative",
+             "seconds-negative": "seconds-nondecreasing",
+             "seconds-falling": "seconds-nondecreasing", "empty": "trace-nonempty"}
+
+
+@pytest.mark.parametrize("audit", list(_DOCTORED))
 def test_check_flags_doctored_trace(tmp_path, capsys, audit):
     gated, restarted = _solver_traces()
     # a Trace builds fresh records on access: edit a list of them instead
@@ -176,13 +186,44 @@ def test_check_flags_doctored_trace(tmp_path, capsys, audit):
     elif audit == "objective":
         trace[9].F_value = float("inf")
         message = "non-finite objective value"
-    else:
+    elif audit == "step":
         trace[11].t = 1.01 / trace[11].L_accepted
         message = "step size inconsistent"
+    elif audit == "backtracks":
+        trace[2].n_backtracks = -2
+        message = "negative backtrack count"
+    elif audit == "step-sign":
+        # t L = 1 still holds
+        trace[4].t = trace[4].L_accepted = -1.0
+        message = "nonpositive step size or accepted L"
+    elif audit == "beta":
+        i = next(i for i in range(1, len(trace)) if not trace[i - 1].restarted)
+        trace[i].beta_used = -2.0
+        message = "negative extrapolation weight"
+    elif audit == "seconds-negative":
+        trace[0].wall_clock_seconds = -1.0
+        message = "seconds negative or falling"
+    elif audit == "seconds-falling":
+        trace[5].wall_clock_seconds = trace[3].wall_clock_seconds
+        message = "seconds negative or falling"
+    else:
+        trace = []
+        message = "empty trace"
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     assert main(["check", "--trace", str(path)]) == 3
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and err.count("check FAIL") == 1
+    assert f"{_DOCTORED[audit]} ok" not in out
+
+
+def test_every_audit_passes_real_traces_and_has_a_doctored_case():
+    """An adca trace and a diagnostics spdcae trace pass every audit, and
+    each audit is broken by a case of the doctored-trace test."""
+    for trace in _solver_traces():
+        results = audit_trace(trace)
+        assert [(name, problem) for name, passed, problem in results if not passed] == []
+        assert {name for name, _, _ in results} == set(_DOCTORED.values())
 
 
 @pytest.mark.parametrize("column, cell", [("backtracks", "1.5"), ("k", "x"),
@@ -228,6 +269,61 @@ def test_check_flags_nonmonotone_summary(tmp_path, capsys):
     rc = main(["check", "--summary", str(path)])
     assert rc == 3
     assert "first-hit" in capsys.readouterr().err
+
+
+_SUMMARY = ("solver,tol,mean_iterations,mean_seconds,hit_rate,max_flag\n"
+            "spdcae1,0.1,50.0,0.1,1.0,0\n"
+            "spdcae1,0.01,80.0,0.2,0.5,1\n")
+# Doctored summary row -> (the audit it breaks, its message); every summary
+# audit but first-hit-monotone has a case.  The row is its solver's only
+# one, so first hits stay monotone.
+_DOCTORED_SUMMARY = {
+    "pdcae1,0.1,90.0,0.3,1.7,0": ("hit-rate-in-unit-interval", "hit rate outside"),
+    "pdcae1,0.1,90.0,0.3,0.5,0": ("max-flag-matches-hit-rate", "max_flag disagrees"),
+    "pdcae1,0.1,,,0.5,1": ("means-empty-iff-no-hits", "means empty on a row with hits"),
+    "pdcae1,0.1,90.0,0.3,0.0,1": ("means-empty-iff-no-hits", "present on one without"),
+    "pdcae1,0.1,90.0,-4.0,0.5,1": ("mean-seconds-nonnegative", "negative mean seconds"),
+}
+
+
+@pytest.mark.parametrize("row", list(_DOCTORED_SUMMARY),
+                         ids=["hit-rate", "max-flag", "means-empty", "means-present",
+                              "mean-seconds"])
+def test_check_flags_doctored_summary(tmp_path, capsys, row):
+    audit, message = _DOCTORED_SUMMARY[row]
+    path = tmp_path / "summary.csv"
+    path.write_text(_SUMMARY + row + "\n")
+    assert main(["check", "--summary", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert f"{message}" in err and "(pdcae1, tol 0.1)" in err
+    assert err.count("check FAIL") == 1 and f"{audit} ok" not in out
+
+
+def test_every_summary_audit_passes_real_outputs_and_has_a_doctored_case(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", max_iter=30, seeds=[0, 1],
+                        solvers=[{"name": "spdcae1"}, {"name": "pdcae1"}])
+    out_dir = tmp_path / "runs"
+    assert main(["bench", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    rows = read_summary_csv(out_dir / "summary.csv")
+    assert {row.hit_rate for row in rows} >= {0.0, 1.0}  # hit and missed rows
+    results = _audit_summary(rows)
+    assert [(name, problem) for name, passed, problem in results if not passed] == []
+    assert {name for name, _, _ in results} == \
+        {audit for audit, _ in _DOCTORED_SUMMARY.values()} | {"first-hit-monotone"}
+
+
+@pytest.mark.parametrize("column, cell", [("mean_iterations", "abc"), ("max_flag", "2"),
+                                          ("tol", "")])
+def test_check_names_the_summary_cell_it_cannot_read(tmp_path, capsys, column, cell):
+    lines = _SUMMARY.splitlines()
+    row = lines[1].split(",")
+    row[lines[0].split(",").index(column)] = cell
+    lines[1] = ",".join(row)
+    path = tmp_path / "summary.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--summary", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"unreadable summary (summary line 2, column '{column}': cannot read {cell!r}" in err
 
 
 @pytest.mark.parametrize("flag, text", [

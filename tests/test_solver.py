@@ -18,10 +18,11 @@ from dcprox.problem import (ConcavePartOracle, DcProblem, SmoothOracle,
                             criticality_residual, least_squares_smooth,
                             nonnegative_orthant, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
-from dcprox.solver import (RunResult, SolverConfig, StoppingRule, Trace,
-                           TraceRecord, adca_run, descent_inequality_slacks,
-                           extrapolation_slacks, pdcae_run, relative_error,
-                           sfista_lyapunov, sfista_run, spdcae_run)
+from dcprox.solver import (RunResult, SolverConfig, StoppingRule, adca_run,
+                           descent_inequality_slacks, extrapolation_slacks,
+                           pdcae_run, relative_error, sfista_lyapunov,
+                           sfista_run, spdcae_run)
+from dcprox.trace import Trace, TraceRecord
 
 
 def _lasso_problem(m=30, n=10, lam=0.1, seed=0):
