@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import operator
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -299,8 +300,9 @@ def audit_trace(trace: Trace) -> list:
     rejected = ~(trace.gate_passed | trace.missing["gate_passed"])
     with np.errstate(all="ignore"):  # inf * 0 and overflow fail the audit quietly
         audits = [
-            ("iteration-counter-increasing", np.all(trace.k[1:] > trace.k[:-1]),
-             "iteration counter not increasing"),
+            ("iteration-counter-consecutive",
+             np.array_equal(trace.k, np.arange(1, len(trace) + 1)),
+             "iteration counter not 1, 2, ..., n"),
             ("objective-finite", np.all(np.isfinite(F)),
              "non-finite objective value"),
             ("step-size-consistent",
@@ -347,7 +349,7 @@ _ROW_AUDITS = (
 def _audit_summary(rows) -> list:
     """``audit_trace`` for summary rows: per solver, first hits that do not
     fall and hit rates that do not rise as the tolerance tightens, then
-    ``_ROW_AUDITS`` on every row."""
+    ``_ROW_AUDITS`` and no repeated (solver, tol) on every row."""
     monotone = []
     for solver in dict.fromkeys(r.solver for r in rows):
         group = sorted((r for r in rows if r.solver == solver),
@@ -360,7 +362,10 @@ def _audit_summary(rows) -> list:
         if any(b > a for a, b in zip(rates, rates[1:])):
             monotone.append(f"hit rate increases as {solver} tolerance tightens")
     results = [("first-hit-monotone", not monotone, "; ".join(monotone))]
-    for name, ok, problem in _ROW_AUDITS:
+    counts = Counter((r.solver, r.tol) for r in rows)
+    unique = ("solver-tol-unique", lambda r: counts[r.solver, r.tol] == 1,
+              "repeated (solver, tol) row")
+    for name, ok, problem in (*_ROW_AUDITS, unique):
         bad = next((r for r in rows if not ok(r)), None)
         results.append((name, bad is None,
                         bad and f"{problem} ({bad.solver}, tol {bad.tol!r})"))

@@ -101,7 +101,7 @@ def test_check_passes_on_real_outputs(tmp_path, capsys):
                "--summary", str(out_dir / "summary.csv")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "iteration-counter-increasing ok" in out
+    assert "iteration-counter-consecutive ok" in out
     assert "objective-finite ok" in out
     assert "step-size-consistent ok" in out
     assert "backtrack-count-nonnegative ok" in out
@@ -156,7 +156,8 @@ def test_trace_csv_from_trace_and_from_records_is_byte_identical(tmp_path):
 
 # Doctored-trace case -> the audit it breaks; every audit has a case.
 _DOCTORED = {"gate": "rejected-gate-zero-beta", "restart": "restart-zero-beta",
-             "slack": "descent-slack-floor", "counter": "iteration-counter-increasing",
+             "slack": "descent-slack-floor", "counter": "iteration-counter-consecutive",
+             "counter-skip": "iteration-counter-consecutive",
              "objective": "objective-finite", "step": "step-size-consistent",
              "backtracks": "backtrack-count-nonnegative",
              "step-sign": "step-size-positive", "beta": "beta-nonnegative",
@@ -182,7 +183,11 @@ def test_check_flags_doctored_trace(tmp_path, capsys, audit):
         message = "descent slack"
     elif audit == "counter":
         trace[7].k = trace[6].k
-        message = "iteration counter not increasing"
+        message = "iteration counter not 1, 2, ..., n"
+    elif audit == "counter-skip":
+        for i, rec in enumerate(trace):  # 5, 8, 11, ...: increasing, not consecutive
+            rec.k = 5 + 3 * i
+        message = "iteration counter not 1, 2, ..., n"
     elif audit == "objective":
         trace[9].F_value = float("inf")
         message = "non-finite objective value"
@@ -274,21 +279,23 @@ def test_check_flags_nonmonotone_summary(tmp_path, capsys):
 _SUMMARY = ("solver,tol,mean_iterations,mean_seconds,hit_rate,max_flag\n"
             "spdcae1,0.1,50.0,0.1,1.0,0\n"
             "spdcae1,0.01,80.0,0.2,0.5,1\n")
-# Doctored summary row -> (the audit it breaks, its message); every summary
-# audit but first-hit-monotone has a case.  The row is its solver's only
-# one, so first hits stay monotone.
+# Doctored summary rows -> (the audit they break, its message); every summary
+# audit but first-hit-monotone has a case.  The rows are their solver's only
+# ones, so first hits stay monotone.
 _DOCTORED_SUMMARY = {
     "pdcae1,0.1,90.0,0.3,1.7,0": ("hit-rate-in-unit-interval", "hit rate outside"),
     "pdcae1,0.1,90.0,0.3,0.5,0": ("max-flag-matches-hit-rate", "max_flag disagrees"),
     "pdcae1,0.1,,,0.5,1": ("means-empty-iff-no-hits", "means empty on a row with hits"),
     "pdcae1,0.1,90.0,0.3,0.0,1": ("means-empty-iff-no-hits", "present on one without"),
     "pdcae1,0.1,90.0,-4.0,0.5,1": ("mean-seconds-nonnegative", "negative mean seconds"),
+    "pdcae1,0.1,90.0,0.3,1.0,0\npdcae1,0.1,90.0,0.3,1.0,0":
+        ("solver-tol-unique", "repeated (solver, tol) row"),
 }
 
 
 @pytest.mark.parametrize("row", list(_DOCTORED_SUMMARY),
                          ids=["hit-rate", "max-flag", "means-empty", "means-present",
-                              "mean-seconds"])
+                              "mean-seconds", "repeat"])
 def test_check_flags_doctored_summary(tmp_path, capsys, row):
     audit, message = _DOCTORED_SUMMARY[row]
     path = tmp_path / "summary.csv"

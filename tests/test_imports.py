@@ -1,7 +1,7 @@
-"""scipy loads only where it is used: the Poisson, least-squares and audit
-paths run on numpy alone, the logistic loss loads ``scipy.special`` and only
-sparse inputs load ``scipy.sparse``.  Module loading is process-wide, so the
-whole sequence runs in one fresh interpreter."""
+"""scipy loads only where it is used: the Poisson, least-squares, audit and
+dense logistic paths run on numpy alone, and only sparse inputs (a libsvm
+file, a CSR design) load ``scipy.sparse``.  Module loading is process-wide,
+so the whole sequence runs in one fresh interpreter."""
 
 import os
 import subprocess
@@ -46,9 +46,15 @@ sfista_run(lasso, SolverConfig(), StoppingRule(max_iter=20), x0=np.zeros(6))
 assert scipy_modules() == [], scipy_modules()
 
 data, _ = gen_logreg(20, 5, rng=0)
-build_logreg_problem(data)
-assert "scipy.special" in sys.modules
-assert "scipy.sparse" not in sys.modules
+res = spdcae_run(build_logreg_problem(data), SolverConfig(),
+                 StoppingRule(max_iter=5), x0=np.zeros(5))
+assert np.isfinite(res.F_final)
+run_matrix(RunConfig.from_dict({
+    "problem": {"kind": "logreg-synthetic", "m": 40, "n": 8, "data_seed": 2},
+    "solvers": [{"name": "spdcae1"}, {"name": "pdcae"}, {"name": "adca"}],
+    "tolerances": [1e-2], "seeds": [0], "max_iter": 50,
+    "reference_iterations": 200}))
+assert scipy_modules() == [], scipy_modules()
 
 path = out / "small.svm"
 path.write_text("+1 1:0.5 3:1.0\n-1 2:2.0\n+1 1:-1.0 2:0.25\n-1 3:0.75\n")

@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +9,7 @@ from conftest import finite_diff_grad, golden_section
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
                            l1_scaled_prox, l2_concave, l2_subgradient,
-                           logistic_lipschitz_bound)
+                           logistic_lipschitz_bound, logistic_smooth)
 from dcprox.metric import DiagonalMetric
 from dcprox.poisson import build_poisson_problem
 from dcprox.problem import least_squares_smooth, objective, quadratic_smooth
@@ -37,6 +40,38 @@ def test_no_overflow_at_extreme_margins():
     assert np.isfinite(g).all()
     v2, _ = f.value_grad(np.array([1000.0]))
     assert v2 == 0.0
+
+
+def test_sigmoid_factor_is_accurate_and_calls_agree_bit_for_bit():
+    # With A = m I for m a power of two, the adjoint and the division by m
+    # are exact, so -b * grad is the sigmoid factor itself, subnormals too.
+    m = 4096
+    u = np.linspace(-800.0, 800.0, m)
+    b = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    f = logistic_smooth(LogRegData(A=sp.diags(np.full(m, float(m)), format="csr"),
+                                   b=b, lam=1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmoid = -b * f.value_grad_at(-b * u)[1]
+    with mpmath.workprec(200):
+        want = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in u])
+    assert np.array_equal(sigmoid == 0.0, want == 0.0)
+    err = np.abs(sigmoid - want)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(err[normal] <= 1e-15 * want[normal])
+    # a subnormal carries fewer digits: there the factor is within one ulp
+    assert np.all(err[~normal] <= np.spacing(want[~normal]))
+    assert np.count_nonzero(~normal & (want > 0.0)) > 50
+
+    # the three calls agree bit for bit, on a dense design and its CSR copy
+    data, _ = gen_logreg(400, 30, rng=5)
+    z = np.random.default_rng(6).permutation(np.linspace(-800.0, 800.0, 400))
+    for A in (data.A, sp.csr_matrix(data.A)):
+        f = logistic_smooth(LogRegData(A=A, b=data.b, lam=data.lam))
+        for point in (z, 1e-3 * z, z[::-1].copy()):
+            value, grad = f.value_grad_at(point)
+            assert f.value_at(point) == value
+            assert f.grad_at(point).tobytes() == grad.tobytes()
 
 
 def test_gradient_matches_finite_differences():
