@@ -1,15 +1,25 @@
 """Regenerate or diff the golden trajectories that ``test_golden.py`` checks.
 
-    python tests/golden/regen.py          # rewrite tests/golden/logistic.json
-    python tests/golden/regen.py --diff   # print the largest deviations only
+    python tests/golden/regen.py                  # rewrite every golden file
+    python tests/golden/regen.py poisson.json     # rewrite only the files named
+    python tests/golden/regen.py --diff [FILE..]  # print the largest deviations only
 
-The logistic file holds the acceptance-6 matrix with ``spdcae0`` and
-``adca`` cells added (seeds 0-4, tolerances 1e-2 to 1e-8): per seed the
-reference value, iterations and stop reason, and per cell its iterations,
-stop reason, first hits, final x, and per iteration F, L, beta,
+Each file holds the records of one or more ``run_matrix`` configs: per seed
+the reference value, iterations and stop reason, and per cell its
+iterations, stop reason, first hits, final x, and per iteration F, L, beta,
 backtracks, restart and gate flags.  Floats are stored as their repr, so
-they read back bit for bit.  Rewriting the file changes test data: say
-which file and the largest deviation it absorbed (``--diff`` prints it).
+they read back bit for bit.
+
+- ``logistic.json``: the acceptance-6 matrix with ``spdcae0`` and ``adca``
+  cells added (seeds 0-4, tolerances 1e-2 to 1e-8).
+- ``poisson.json``: the acceptance-7 matrix at seeds 0-1 capped at 2000
+  iterations, and a low-flux matrix whose counts are mostly zero (44 and 42
+  of 60 at seeds 0 and 1), so both the all-positive and the masked KL paths
+  are held.
+
+Rewriting a file changes test data: say which file and the largest
+deviation it absorbed (``--diff`` prints it).  A file that is not named is
+not rewritten, so its stored trajectories keep their bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import numpy as np  # noqa: E402
 from dcprox import RunConfig, run_matrix  # noqa: E402
 
 LOGISTIC = HERE / "logistic.json"
+POISSON = HERE / "poisson.json"
 LOGISTIC_CONFIG = {
     "problem": {"kind": "logreg-synthetic", "m": 2000, "n": 300,
                 "lambda": 1e-3, "data_seed": 0},
@@ -41,6 +52,27 @@ LOGISTIC_CONFIG = {
     "seeds": [0, 1, 2, 3, 4],
     "max_iter": 10000,
 }
+ACCEPTANCE7_CONFIG = {
+    "problem": {"kind": "poisson-synthetic", "n": 500, "m": 100,
+                "k_nonzeros": 5, "data_seed": 0},
+    "solvers": [{"name": "spdcae1"}, {"name": "spdcae0"}, {"name": "pdcae0"}],
+    "tolerances": [1e-3],
+    "seeds": [0, 1],
+    "max_iter": 2000,
+}
+LOW_FLUX_CONFIG = {
+    "problem": {"kind": "poisson-synthetic", "n": 200, "m": 60,
+                "k_nonzeros": 3, "amp_max": 50.0, "p": 0.3, "data_seed": 0},
+    "solvers": [{"name": "spdcae1"}, {"name": "spdcae0"}, {"name": "pdcae0"},
+                {"name": "pdcae1"}],
+    "tolerances": [1e-2, 1e-4, 1e-6, 1e-8],
+    "seeds": [0, 1],
+    "max_iter": 2000,
+}
+
+# File -> the configs it holds, in order.
+GOLDEN = {LOGISTIC: [LOGISTIC_CONFIG],
+          POISSON: [ACCEPTANCE7_CONFIG, LOW_FLUX_CONFIG]}
 
 # Fields compared exactly, and fields compared within RTOL relative.
 EXACT = ("iterations", "stop_reason", "first_hits", "n_backtracks",
@@ -75,19 +107,28 @@ def record(config: dict) -> dict:
             "cells": cells}
 
 
-def write(path: Path, rec: dict) -> None:
+def _text(rec: dict) -> str:
     """``rec`` as JSON with one line per reference and per cell."""
     def lines(items):
         return ",\n".join("  " + json.dumps(item) for item in items)
+    return ('{"config": %s,\n"references": [\n%s],\n"cells": [\n%s]}'
+            % (json.dumps(rec["config"]), lines(rec["references"]),
+               lines(rec["cells"])))
+
+
+def write(path: Path, recs: list) -> None:
+    """One record as a JSON object, several as a JSON list of them."""
+    text = _text(recs[0]) if len(recs) == 1 else \
+        "[\n%s]" % ",\n".join(_text(rec) for rec in recs)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write('{"config": %s,\n"references": [\n%s],\n"cells": [\n%s]}\n'
-                 % (json.dumps(rec["config"]), lines(rec["references"]),
-                    lines(rec["cells"])))
+        fh.write(text + "\n")
 
 
-def load(path: Path) -> dict:
+def load(path: Path) -> list:
+    """The records of a golden file, in the order of its configs."""
     with open(path, encoding="ascii") as fh:
-        return json.load(fh)
+        recs = json.load(fh)
+    return recs if isinstance(recs, list) else [recs]
 
 
 def relative_deviation(new, old) -> float:
@@ -133,14 +174,23 @@ def close_deviation(key: str, new, old) -> float:
 
 
 def main(argv=None) -> int:
-    diff_only = "--diff" in (argv if argv is not None else sys.argv[1:])
-    rec = record(LOGISTIC_CONFIG)
-    if LOGISTIC.exists():
-        for key, value in deviations(rec, load(LOGISTIC)).items():
-            print(f"{LOGISTIC.name} {key}: {value}")
-    if not diff_only:
-        write(LOGISTIC, rec)
-        print(f"wrote {LOGISTIC}")
+    args = list(argv if argv is not None else sys.argv[1:])
+    diff_only = "--diff" in args
+    names = [a for a in args if a != "--diff"]
+    known = {path.name: path for path in GOLDEN}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown golden file(s) {unknown}; known: {sorted(known)}")
+        return 2
+    for path in [known[name] for name in names] or list(GOLDEN):
+        recs = [record(config) for config in GOLDEN[path]]
+        if path.exists():
+            for i, (new, old) in enumerate(zip(recs, load(path))):
+                for key, value in deviations(new, old).items():
+                    print(f"{path.name}[{i}] {key}: {value}")
+        if not diff_only:
+            write(path, recs)
+            print(f"wrote {path}")
     return 0
 
 
