@@ -84,14 +84,17 @@ class BetaSchedule:
         self.theta = theta_new
         self.t_prev = t_cur
 
-    def finish_iteration(self, k: int, x_k: Array, x_prev: Array, y_k: Array) -> bool:
-        """Apply the restart rule after iteration k; True when theta was reset."""
+    def finish_iteration(self, k: int, dx: Array, x_minus_y: Array) -> bool:
+        """Apply the restart rule after iteration k, from the step
+        dx = x_k - x_{k-1} and x_minus_y = x_k - y_k; True when theta was
+        reset."""
         if self.family not in ("fixed-restart", "fixed-adaptive-restart"):
             return False
         restarted = k % self.T2 == 0
         if not restarted and self.family == "fixed-adaptive-restart":
-            # Momentum turned against the last step: plain inner product test.
-            restarted = float((x_k - x_prev).dot(y_k - x_k)) > 0.0
+            # Momentum turned against the last step, <dx, y_k - x_k> > 0;
+            # negating one factor of a dot product negates it bit for bit.
+            restarted = float(dx.dot(x_minus_y)) < 0.0
         if restarted:
             self.theta = 1.0
         return restarted

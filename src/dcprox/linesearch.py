@@ -75,15 +75,18 @@ class BacktrackConfig:
 class IterateState:
     """Rolling solver state entering outer iteration k.
 
-    Holds the two most recent iterates (equal at the start) with ``z_prev``
-    = A x_prev and ``z_prev2`` = A x_prev2, each computed from its iterate,
-    and the last accepted curvature estimate.
+    Holds the last iterate ``x_prev`` with ``z_prev`` = A x_prev, the last
+    step ``dx`` = x_prev - x_prev2 with ``dz`` = z_prev - z_prev2 (zero at
+    the start, where x_prev2 = x_prev), the subgradient ``h_prev`` of h at
+    x_prev (None for a zero h) and the last accepted curvature estimate.
+    The loop forms each once per accepted iterate.
     """
 
     x_prev: Array
-    x_prev2: Array
     z_prev: Array
-    z_prev2: Array
+    dx: Array
+    dz: Array
+    h_prev: Array | None = None
     L_prev: float = 1.0
     k: int = 1
 
@@ -92,7 +95,8 @@ class IterateState:
 class IterationSnapshot:
     """Accepted iteration k, as every step policy returns it and the loop
     keeps it: x with z = A x and f = f(x), from the prox step of size
-    t = 1/L in the metric at y; beta and theta gave y.
+    t = 1/L in the metric at y, and ``x_minus_y`` = x - y from its decrease
+    test; beta and theta gave y.
     """
 
     k: int
@@ -105,6 +109,7 @@ class IterationSnapshot:
     theta: float
     metric: DiagonalMetric
     z: Array
+    x_minus_y: Array
     n_backtracks: int = 0
     restarted: bool = False
     gate_passed: bool | None = None
@@ -147,35 +152,36 @@ def sufficient_decrease(fx: float, fy: float, grad_y: Array, d: Array,
 
 def extrapolate(problem: DcProblem, state: IterateState,
                 beta: float) -> tuple[Array, float, Array]:
-    """y = P(x_prev + beta (x_prev - x_prev2)) with f(y) and grad f(y).
+    """y = P(x_prev + beta dx) with f(y) and grad f(y).
 
     When the projection clips nothing (always on the whole space), f is
-    taken at A y = z_prev + beta (z_prev - z_prev2) without a forward
-    product; otherwise the projection breaks linearity and A y is formed.
+    taken at A y = z_prev + beta dz without a forward product; otherwise
+    the projection breaks linearity and A y is formed.
     """
-    x_prev, z_prev, f = state.x_prev, state.z_prev, problem.f
-    y_lin = x_prev + beta * (x_prev - state.x_prev2)
+    f = problem.f
+    y_lin = state.x_prev + beta * state.dx
     y = problem.feasible_set.scaled_project(y_lin)
-    z = z_prev + beta * (z_prev - state.z_prev2) if y is y_lin else f.A @ y
+    z = state.z_prev + beta * state.dz if y is y_lin else f.A @ y
     return y, *f.value_grad_at(z)
 
 
 def prox_trial(problem: DcProblem, y: Array, f_y: float, grad_y: Array,
                h: Array | None, t: float,
-               D: DiagonalMetric) -> tuple[Array, Array, float, bool]:
+               D: DiagonalMetric) -> tuple[Array, Array, float, Array, bool]:
     """x_new = prox of g of size t in the metric D at y - t D^{-1} (grad_y - h),
-    z_new = A x_new, f(x_new), and whether the decrease test from
+    z_new = A x_new, f(x_new), x_new - y, and whether the decrease test from
     (f_y, grad_y) at y holds.  ``h`` None stands for a zero subgradient."""
     d = grad_y if h is None else grad_y - h
     x_new = problem.g.scaled_prox(y - divide_by(t * d, D), t, D)
     z_new = problem.f.A @ x_new
     f_new = problem.f.value_at(z_new)
-    return (x_new, z_new, f_new,
-            sufficient_decrease(f_new, f_y, grad_y, x_new - y, t, D))
+    x_minus_y = x_new - y
+    return (x_new, z_new, f_new, x_minus_y,
+            sufficient_decrease(f_new, f_y, grad_y, x_minus_y, t, D))
 
 
 def backtrack_step(problem: DcProblem, config: BacktrackConfig,
-                   state: IterateState, h: Array, beta_provider,
+                   state: IterateState, beta_provider,
                    metric_provider) -> IterationSnapshot:
     """Run one outer iteration's inner loop and return the accepted trial.
 
@@ -185,12 +191,12 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     extrapolated point (classical weights do not depend on t) and only
     re-solves the prox subproblem.  On acceptance the providers are committed,
     ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
-    grad_y)``; the restart rule is left to the caller.  ``h`` is the
-    subgradient of h at ``state.x_prev``, None for a zero h.  The smooth
-    term is called once per extrapolated point (``extrapolate``) and once
-    per trial point (``prox_trial``).
+    grad_y)``; the restart rule is left to the caller.  The subgradient of h
+    at ``state.x_prev`` is ``state.h_prev``.  The smooth term is called once
+    per extrapolated point (``extrapolate``) and once per trial point
+    (``prox_trial``).
     """
-    k = state.k
+    k, h = state.k, state.h_prev
     L = initial_L(config, k, state.L_prev if k > 1 else config.L_init)
     monotone = config.mode == "monotone"
 
@@ -200,13 +206,14 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
             beta, theta = beta_provider.propose(t)
             y, f_y, grad_y = extrapolate(problem, state, beta)
             D = metric_provider.trial(k, y, grad_y)
-        x_new, z_new, f_new, ok = prox_trial(problem, y, f_y, grad_y, h, t, D)
+        x_new, z_new, f_new, x_minus_y, ok = prox_trial(problem, y, f_y, grad_y,
+                                                        h, t, D)
         if ok:
             beta_provider.commit(theta, t)
             metric_provider.accept(k, grad_y)
-            return IterationSnapshot(k=k, x=x_new, f=f_new, y=y, t=t, L=L,
-                                     beta=beta, theta=theta, metric=D,
-                                     n_backtracks=i, z=z_new)
+            # positional: keyword arguments cost more than building the record
+            return IterationSnapshot(k, x_new, f_new, y, t, L, beta, theta, D,
+                                     z_new, x_minus_y, i)
         L = config.eta * L
 
     raise LineSearchError(

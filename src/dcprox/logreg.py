@@ -117,10 +117,7 @@ def l1_scaled_prox(v: Array, t: float, lam: float,
 
 def l2_subgradient(x: Array, lam: float) -> Array:
     """lam * x / ||x||, with the zero vector selected at the origin."""
-    nrm = _norm(x)
-    if nrm == 0.0:
-        return np.zeros_like(x)
-    return lam * x / nrm
+    return l2_concave(lam).subgrad(x)
 
 
 def _frobenius_sq(A) -> float:
@@ -169,10 +166,13 @@ def l1_proximable(lam: float) -> ProximableOracle:
 
 
 def l2_concave(lam: float) -> ConcavePartOracle:
-    """h(x) = lam ||x||_2 with the deterministic subgradient selection."""
-    return ConcavePartOracle(
-        eval=lambda x: float(lam * _norm(x)),
-        subgrad=lambda x: l2_subgradient(x, lam))
+    """h(x) = lam ||x||_2 with the subgradient lam x / ||x|| (zero at the
+    origin); the value and the subgradient share one norm."""
+    def value_subgrad(x: Array) -> tuple[float, Array]:
+        nrm = _norm(x)
+        return float(lam * nrm), np.zeros_like(x) if nrm == 0.0 else lam * x / nrm
+
+    return ConcavePartOracle(value_subgrad)
 
 
 def build_logreg_problem(data: LogRegData) -> DcProblem:

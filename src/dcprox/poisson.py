@@ -7,16 +7,17 @@ proximable term, so the prox is a one-sided soft threshold.  The gradient
 splits as -grad KL = U - V with U = A^T (b / (A x + bg)) >= 0 and the
 constant V = A^T 1 > 0, which the problem carries for the split-gradient metric.
 
-The constants of the KL value that depend on the counts alone (the mask of
-positive counts, those counts, and their total) are built once per data
+The constants of the KL value that depend on the counts alone (the index of
+the positive counts, those counts, and their total) are built once per data
 record, so an oracle call pays only for the products, the logarithms and one
-``min`` reduction per domain check.  The KL term is written at z = A x
-(``kl_smooth``), so the solvers can carry z through their loop.
+``min`` reduction per domain check.  When no count is zero the index is the
+whole slice, so the positive entries of an intensity are a view, not a
+copy.  The KL term is written at z = A x (``kl_smooth``), so the solvers can
+carry z through their loop.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,16 +35,17 @@ Array = np.ndarray
 class PoissonCsData:
     """Nonnegative sensing matrix, observed counts, background, penalty.
 
-    ``pos`` (the mask b > 0), ``b_pos`` (= b[pos]) and ``b_sum`` (= sum b) are
-    derived from the counts on construction; the counts are not to be
-    mutated afterwards.
+    ``pos`` (the index of the positive counts: the whole slice when every
+    count is positive, else the mask b > 0), ``b_pos`` (= b[pos]) and
+    ``b_sum`` (= sum b) are derived from the counts on construction; the
+    counts are not to be mutated afterwards.
     """
 
     A: Array
     b: Array
     bg: float = 1e-10
     lam: float = 1e-3
-    pos: Array = field(init=False, repr=False, compare=False)
+    pos: Array | slice = field(init=False, repr=False, compare=False)
     b_pos: Array = field(init=False, repr=False, compare=False)
     b_sum: np.float64 = field(init=False, repr=False, compare=False)
 
@@ -67,6 +69,8 @@ class PoissonCsData:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         pos = b > 0.0
+        if pos.all():
+            pos = slice(None)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "b_pos", b[pos])
         object.__setattr__(self, "b_sum", np.sum(b))
@@ -80,28 +84,7 @@ class PoissonCsData:
         return self.A.shape[1]
 
 
-def _forward(data: PoissonCsData, x: Array) -> Array:
-    if _smallest(x) < 0.0:
-        raise EvaluationDomainError("KL term evaluated at a negative point")
-    return data.A @ x
-
-
-def _intensity(data: PoissonCsData, z: Array) -> Array:
-    c = z + data.bg
-    if _smallest(c) <= 0.0:
-        raise EvaluationDomainError("model intensity is not strictly positive")
-    return c
-
-
-def _kl_at(data: PoissonCsData, c: Array, ratio_pos: Array) -> float:
-    # ratio_pos is b_pos / c[pos]
-    return float(c.sum() - data.b_sum + (data.b_pos * np.log(ratio_pos)).sum())
-
-
-def _kl_value_grad_at(data: PoissonCsData, z: Array) -> tuple[float, Array]:
-    c = _intensity(data, z)
-    ratio = data.b / c  # (b / c)[pos] is b_pos / c[pos] entry for entry
-    return _kl_at(data, c, ratio[data.pos]), data.A.T @ (1.0 - ratio)
+_NOT_POSITIVE = "model intensity is not strictly positive"
 
 
 def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
@@ -110,7 +93,11 @@ def kl_split(data: PoissonCsData, x: Array) -> tuple[Array, Array]:
     Raises when some column of A is identically zero, since V must be
     strictly positive for the split-gradient metric.
     """
-    c = _intensity(data, _forward(data, x))
+    if _smallest(x) < 0.0:
+        raise EvaluationDomainError("KL term evaluated at a negative point")
+    c = data.A @ x + data.bg
+    if _smallest(c) <= 0.0:
+        raise EvaluationDomainError(_NOT_POSITIVE)
     U = data.A.T @ (data.b / c)
     V = data.A.T @ np.ones(data.m)
     if np.any(V <= 0.0):
@@ -123,15 +110,28 @@ def kl_smooth(data: PoissonCsData) -> SmoothOracle:
     x >= 0 is left to the feasible set.
 
     value = sum_i b_i log(b_i / c_i) + c_i - b_i, where terms with b_i = 0
-    contribute c_i; grad = A^T (1 - b / c).
+    contribute c_i; grad = A^T (1 - b / c).  ``np.add.reduce`` is the
+    reduction ``ndarray.sum`` makes, without its Python layer.
     """
-    def value_at(z: Array) -> float:
-        c = _intensity(data, z)
-        return _kl_at(data, c, data.b_pos / c[data.pos])
+    A, AT, b, bg = data.A, data.A.T, data.b, data.bg
+    pos, b_pos, b_sum = data.pos, data.b_pos, data.b_sum
+    add, log = np.add.reduce, np.log
 
-    return SmoothOracle(data.A, value_at,
-                        functools.partial(_kl_value_grad_at, data),
-                        lambda z: _kl_value_grad_at(data, z)[1])
+    def value_at(z: Array) -> float:
+        c = z + bg
+        if _smallest(c) <= 0.0:
+            raise EvaluationDomainError(_NOT_POSITIVE)
+        return float(add(c) - b_sum + add(b_pos * log(b_pos / c[pos])))
+
+    def value_grad_at(z: Array) -> tuple[float, Array]:
+        c = z + bg
+        if _smallest(c) <= 0.0:
+            raise EvaluationDomainError(_NOT_POSITIVE)
+        ratio = b / c  # ratio[pos] is b_pos / c[pos] entry for entry
+        return (float(add(c) - b_sum + add(b_pos * log(ratio[pos]))),
+                AT @ (1.0 - ratio))
+
+    return SmoothOracle(A, value_at, value_grad_at, lambda z: value_grad_at(z)[1])
 
 
 def l1_nonneg_scaled_prox(v: Array, t: float, lam: float,
@@ -152,7 +152,7 @@ def l1_nonneg_proximable(lam: float) -> ProximableOracle:
     def value(x: Array) -> float:
         if _smallest(x) < 0.0:
             return math.inf
-        return float(lam * x.sum())
+        return float(lam * np.add.reduce(x))
 
     return ProximableOracle(
         eval=value,

@@ -11,7 +11,6 @@ matrix product; ``objective`` reuses an f(x) already known.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
@@ -31,10 +30,15 @@ class EvaluationDomainError(ValueError):
     """
 
 
-# Smallest entry ignoring NaNs, +inf for an empty vector, so that
-# ``_smallest(v) < a`` is ``np.any(v < a)`` in one reduction: a point with a
-# NaN and a negative entry is still rejected, an all-NaN one is not.
-_smallest = functools.partial(np.fmin.reduce, initial=math.inf)
+_fmin_reduce = np.fmin.reduce
+
+
+def _smallest(v: Array):
+    """Smallest entry ignoring NaNs, +inf for an empty vector, so that
+    ``_smallest(v) < a`` is ``np.any(v < a)`` in one reduction: a point with
+    a NaN and a negative entry is still rejected, an all-NaN one is not."""
+    # a def: a keyword functools.partial merges its keywords on every call
+    return _fmin_reduce(v, initial=math.inf)
 
 
 def _norm(x: Array) -> float:
@@ -86,17 +90,28 @@ class ProximableOracle:
 class ConcavePartOracle:
     """The subtracted convex term h with a deterministic subgradient selection.
 
-    ``is_zero`` promises that h and ``subgrad`` are identically zero; the
-    loop then forms no subgradient, subtracts none and skips ``eval``.
+    ``value_subgrad(x)`` is (h(x), the selected subgradient of h at x), in
+    one call, so that what both need is computed once: for h = lam ||x||,
+    the norm.  The loop calls it once per accepted iterate x_k; the value
+    enters F(x_k), and the subgradient both the criticality stop test at x_k
+    and the next step.  ``eval`` and ``subgrad`` take one half of it.
+    ``is_zero`` promises that h and its subgradient are identically zero;
+    the loop then calls nothing, subtracts nothing and takes h(x) as 0.
     """
 
-    eval: Callable[[Array], float]
-    subgrad: Callable[[Array], Array]
+    value_subgrad: Callable[[Array], Tuple[float, Array]]
     is_zero: bool = False
 
-    def subgrad_or_none(self, x: Array) -> Array | None:
-        """``subgrad(x)``, or None for a zero h (nothing to subtract)."""
-        return None if self.is_zero else self.subgrad(x)
+    def eval(self, x: Array) -> float:
+        return self.value_subgrad(x)[0]
+
+    def subgrad(self, x: Array) -> Array:
+        return self.value_subgrad(x)[1]
+
+    def value_subgrad_or_none(self, x: Array) -> Tuple[float, Array | None]:
+        """``value_subgrad(x)``, or (0.0, None) for a zero h (nothing to
+        subtract)."""
+        return (0.0, None) if self.is_zero else self.value_subgrad(x)
 
 
 @dataclass(frozen=True)
@@ -149,12 +164,14 @@ class DcProblem:
     split_denominator: Array | None = None
 
 
-def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:
+def objective(problem: DcProblem, x: Array, f_x: float | None = None,
+              h_x: float | None = None) -> float:
     """F(x) = f(x) + g(x) - h(x); +inf when x is outside dom g.
 
-    ``f_x``, when given, is taken as f(x) and f is not evaluated.  Domain
-    violations of f raise EvaluationDomainError instead of returning +inf,
-    since the solvers never evaluate f at such points.
+    ``f_x`` and ``h_x``, when given, are taken as f(x) and h(x), and f and h
+    are not evaluated.  Domain violations of f raise EvaluationDomainError
+    instead of returning +inf, since the solvers never evaluate f at such
+    points.
     """
     gx = problem.g.eval(x)
     if gx == math.inf:
@@ -162,23 +179,29 @@ def objective(problem: DcProblem, x: Array, f_x: float | None = None) -> float:
     f_x = problem.f.eval(x) if f_x is None else f_x
     F = float(f_x) + float(gx)
     # F - 0.0 is F bit for bit, so a zero h is not evaluated
-    return F if problem.h.is_zero else F - float(problem.h.eval(x))
+    if problem.h.is_zero:
+        return F
+    return F - float(problem.h.eval(x) if h_x is None else h_x)
 
 
 def criticality_residual(problem: DcProblem, x: Array, t: float,
-                         grad_x: Array | None = None) -> float:
+                         grad_x: Array | None = None,
+                         subgrad_x: Array | None = None) -> float:
     """Norm of the fixed-point displacement of one unscaled proximal step.
 
     Returns ||x - prox_{t g}(x - t (grad f(x) - h'(x)))|| with the identity
-    metric; zero exactly at critical points for any t > 0.  ``grad_x``, when
-    given, is taken as grad f(x) and f is not called.
+    metric; zero exactly at critical points for any t > 0.  ``grad_x`` and
+    ``subgrad_x``, when given, are taken as grad f(x) and h'(x), and f and h
+    are not called.
     """
     if t <= 0.0:
         raise ValueError("step size must be positive")
     if grad_x is None:
         grad_x = problem.f.grad(x)
     if not problem.h.is_zero:
-        grad_x = grad_x - problem.h.subgrad(x)
+        if subgrad_x is None:
+            subgrad_x = problem.h.subgrad(x)
+        grad_x = grad_x - subgrad_x
     x_hat = problem.g.scaled_prox(x - t * grad_x, t, None)
     return _norm(x - x_hat)
 
@@ -186,7 +209,7 @@ def criticality_residual(problem: DcProblem, x: Array, t: float,
 # --- common closed-form pieces -------------------------------------------
 
 def zero_concave() -> ConcavePartOracle:
-    return ConcavePartOracle(eval=lambda x: 0.0, subgrad=np.zeros_like, is_zero=True)
+    return ConcavePartOracle(lambda x: (0.0, np.zeros_like(x)), is_zero=True)
 
 
 def zero_proximable() -> ProximableOracle:

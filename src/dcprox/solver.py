@@ -158,14 +158,14 @@ _STALL_REL_TOL = 1e-12
 
 
 def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
-                 rel: float | None, s: IterationSnapshot,
+                 rel: float | None, s: IterationSnapshot, h_sub: Array | None,
                  lows: deque | None) -> str | None:
     if not math.isfinite(F):
         return "nonfinite"
     if stop.rel_tol is not None and rel is not None and rel <= stop.rel_tol:
         return "rel_tol"
     if stop.crit_tol is not None and criticality_residual(
-            problem, s.x, s.t, problem.f.grad_at(s.z)) <= stop.crit_tol:
+            problem, s.x, s.t, problem.f.grad_at(s.z), h_sub) <= stop.crit_tol:
         return "crit_tol"
     # lows holds F_low(k - W) ... F_low(k)
     if lows is not None and lows[0] - lows[-1] <= _STALL_REL_TOL * abs(lows[-1]):
@@ -174,16 +174,23 @@ def _stop_reason(problem: DcProblem, stop: StoppingRule, F: float,
 
 
 def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
-           keep_states: bool, diagnostics: bool = False,
+           schedule: BetaSchedule, keep_states: bool, diagnostics: bool = False,
            on_value=None) -> RunResult:
     """Outer loop shared by every runner.
 
-    ``step(state)`` returns the ``IterationSnapshot`` taken from
-    ``state.x_prev`` (and ``state.x_prev2``) at iteration ``state.k``; it is
-    kept as is under ``keep_states``.  A x0 is computed here once and each
-    later z comes from the accepted snapshot.
-    ``on_value`` receives each accepted objective value.  The running
-    minima of the stall window are kept only for a stall clause.
+    ``step(state)`` returns the ``IterationSnapshot`` taken from ``state``
+    at iteration ``state.k``; it is kept as is under ``keep_states``.  The
+    loop then applies the restart rule of ``schedule``, the runner's weight
+    schedule, and rolls the state over.  A x0 is computed here once and
+    each later z comes from the accepted snapshot.
+
+    Per accepted iterate x_k the loop forms, once each: h(x_k) with its
+    subgradient (one ``value_subgrad`` call, whose value enters F(x_k) and
+    whose subgradient enters the criticality stop test and the next step),
+    and the step dx = x_k - x_{k-1} with dz = z_k - z_{k-1} (the restart
+    test and the next extrapolation share it).  ``on_value`` receives each
+    accepted objective value.  The running minima of the stall window are
+    kept only for a stall clause.
 
     Each accepted iteration's scalars go to ``_TraceBuffers`` through bound
     ``append`` methods held in locals; the iteration counter, a relative
@@ -192,8 +199,10 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     makes the buffers the trace's columns without a copy.
     """
     stop = stop or StoppingRule()
+    h = problem.h
     z0 = problem.f.A @ x0
-    state = IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0)
+    h_x, h_sub = h.value_subgrad_or_none(x0)
+    state = IterateState(x0, z0, x0 - x0, z0 - z0, h_sub)
     ref = stop.ref_value
     buffers = _TraceBuffers()
     (add_F, add_rel, add_L, add_t, add_backtracks, add_beta, add_restarted,
@@ -204,7 +213,7 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     states: List[IterationSnapshot] = []
     t_start = time.perf_counter()
     stop_reason = "max_iter"
-    F_prev = objective(problem, x0) if diagnostics else None
+    F_prev = objective(problem, x0, None, h_x) if diagnostics else None
     lows = None
     if stop.stall_iters is not None:
         lows = deque([math.inf], maxlen=stop.stall_iters + 1)  # F_low(0) = +inf
@@ -212,7 +221,11 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
     for k in range(1, stop.max_iter + 1):
         state.k = k
         s = step(state)
-        F = objective(problem, s.x, s.f)
+        x, z = s.x, s.z
+        h_x, h_sub = h.value_subgrad_or_none(x)
+        F = objective(problem, x, s.f, h_x)
+        dx = x - state.x_prev
+        s.restarted = schedule.finish_iteration(k, dx, s.x_minus_y)
         if on_value is not None:
             on_value(F)
         if lows is not None:
@@ -237,11 +250,11 @@ def _drive(problem: DcProblem, stop: StoppingRule | None, x0: Array, step,
         if keep_states:
             states.append(s)
 
-        state.x_prev2, state.x_prev = state.x_prev, s.x
-        state.z_prev2, state.z_prev = state.z_prev, s.z
+        state.x_prev, state.dx, state.h_prev = x, dx, h_sub
+        state.z_prev, state.dz = z, z - state.z_prev
         state.L_prev = s.L
 
-        reason = _stop_reason(problem, stop, F, rel, s, lows)
+        reason = _stop_reason(problem, stop, F, rel, s, h_sub, lows)
         if reason is not None:
             stop_reason = reason
             break
@@ -271,13 +284,10 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
     metric_provider = _make_metric_provider(config, problem)
 
     def step(state: IterateState) -> IterationSnapshot:
-        s = backtrack_step(problem, config.backtrack, state,
-                           problem.h.subgrad_or_none(state.x_prev),
-                           beta_schedule, metric_provider)
-        s.restarted = beta_schedule.finish_iteration(state.k, s.x, state.x_prev, s.y)
-        return s
+        return backtrack_step(problem, config.backtrack, state, beta_schedule,
+                              metric_provider)
 
-    return _drive(problem, stop, x0, step, keep_states, diagnostics)
+    return _drive(problem, stop, x0, step, beta_schedule, keep_states, diagnostics)
 
 
 def sfista_run(problem: DcProblem, config: SolverConfig,
@@ -309,16 +319,17 @@ def _fixed_step(problem: DcProblem, L_fixed: float, x0, where: str):
     def prox_step(k: int, base: Array, h: Array | None, f_base: float,
                   grad_base: Array, beta: float, theta: float) -> IterationSnapshot:
         nonlocal warned
-        x_new, z_new, f_new, ok = prox_trial(problem, base, f_base, grad_base,
-                                             h, t, D)
+        x_new, z_new, f_new, x_minus_y, ok = prox_trial(problem, base, f_base,
+                                                        grad_base, h, t, D)
         if not ok and not warned:
             warned = True
             # stack: prox_step < policy step < _drive < public runner < caller
             warnings.warn(f"{where}: fixed step violates the descent bound; "
                           "the supplied curvature constant is likely too small",
                           RuntimeWarning, stacklevel=5)
-        return IterationSnapshot(k=k, x=x_new, f=f_new, y=base, t=t, L=L_fixed,
-                                 beta=beta, theta=theta, metric=D, z=z_new)
+        # positional, as in backtrack_step
+        return IterationSnapshot(k, x_new, f_new, base, t, L_fixed, beta, theta,
+                                 D, z_new, x_minus_y)
 
     return x0, t, prox_step
 
@@ -341,16 +352,13 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
                                    theta=1.0, t_prev=0.0)
 
     def step(state: IterateState) -> IterationSnapshot:
-        x_prev = state.x_prev
-        h = problem.h.subgrad_or_none(x_prev)
         beta, theta = schedule.propose(t)
         y, f_y, grad_y = extrapolate(problem, state, beta)
-        s = prox_step(state.k, y, h, f_y, grad_y, beta, theta)
+        s = prox_step(state.k, y, state.h_prev, f_y, grad_y, beta, theta)
         schedule.commit(theta, t)
-        s.restarted = schedule.finish_iteration(state.k, s.x, x_prev, y)
         return s
 
-    return _drive(problem, stop, x0, step, keep_states)
+    return _drive(problem, stop, x0, step, schedule, keep_states)
 
 
 def adca_run(problem: DcProblem, L_fixed: float, q: int,
@@ -374,20 +382,21 @@ def adca_run(problem: DcProblem, L_fixed: float, q: int,
     def step(state: IterateState) -> IterationSnapshot:
         beta, theta = schedule.propose(t)
         y, f_y, grad_y = extrapolate(problem, state, beta)
-        gate = objective(problem, y, f_y) <= max(history)
+        h_y, h_sub_y = problem.h.value_subgrad_or_none(y)
+        gate = objective(problem, y, f_y, h_y) <= max(history)
         if gate:
-            base, f_base, grad_base = y, f_y, grad_y
+            base, f_base, grad_base, h = y, f_y, grad_y, h_sub_y
         else:
-            base = state.x_prev
+            base, h = state.x_prev, state.h_prev
             f_base, grad_base = problem.f.value_grad_at(state.z_prev)
-        h = problem.h.subgrad_or_none(base)
         s = prox_step(state.k, base, h, f_base, grad_base,
                       beta if gate else 0.0, theta)
         schedule.commit(theta, t)
         s.gate_passed = gate
         return s
 
-    return _drive(problem, stop, x0, step, keep_states, on_value=history.append)
+    return _drive(problem, stop, x0, step, schedule, keep_states,
+                  on_value=history.append)
 
 
 # --- audits ----------------------------------------------------------------

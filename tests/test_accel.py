@@ -69,9 +69,9 @@ def test_beta_restart_fixed_period():
     beta, th = sched.propose(1.0)
     assert beta == pytest.approx((GOLDEN - 1.0) / THETA3, rel=1e-15)
     sched.commit(th, 1.0)
-    assert not sched.finish_iteration(199, z, z, z)
+    assert not sched.finish_iteration(199, z, z)
     assert sched.theta == th
-    assert sched.finish_iteration(200, z, z, z)
+    assert sched.finish_iteration(200, z, z)
     assert sched.theta == 1.0
     assert sched.propose(1.0)[0] == 0.0
 
@@ -83,7 +83,7 @@ def test_beta_restart_fires_on_every_multiple_of_the_period():
     for k in range(1, 11):
         _, th = sched.propose(1.0)
         sched.commit(th, 1.0)
-        if sched.finish_iteration(k, z, z, z):
+        if sched.finish_iteration(k, z, z):
             restarts.append(k)
     assert restarts == [3, 6, 9]
 
@@ -91,20 +91,25 @@ def test_beta_restart_fires_on_every_multiple_of_the_period():
 def test_beta_restart_adaptive_trigger():
     x_prev = np.zeros(2)
     x_k = np.array([1.0, 0.0])
+    dx = x_k - x_prev
     y_aligned = np.array([0.5, 0.0])   # y behind x: momentum still helping
     sched = _advanced("fixed-adaptive-restart", 1000)
-    assert not sched.finish_iteration(7, x_k, x_prev, y_aligned)
-    y_over = np.array([2.0, 0.0])      # overshoot: inner product positive
-    assert sched.finish_iteration(7, x_k, x_prev, y_over)
+    assert not sched.finish_iteration(7, dx, x_k - y_aligned)
+    y_over = np.array([2.0, 0.0])      # overshoot: <dx, y - x> positive
+    assert sched.finish_iteration(7, dx, x_k - y_over)
     # the fixed-period family ignores the inner product
-    assert not _advanced("fixed-restart", 1000).finish_iteration(7, x_k, x_prev, y_over)
+    assert not _advanced("fixed-restart", 1000).finish_iteration(7, dx, x_k - y_over)
+    # <dx, y - x> = 0 does not restart, also when <dx, x - y> is -0.0
+    assert np.signbit(np.array([0.0]).dot(np.array([-1.0])))
+    assert not _advanced("fixed-adaptive-restart", 1000).finish_iteration(
+        7, np.array([0.0]), np.array([-1.0]))
 
 
 def test_schedule_none_family():
     sched = BetaSchedule(family="none")
     assert sched.propose(0.3) == (0.0, 1.0)
     sched.commit(1.0, 0.3)
-    assert not sched.finish_iteration(1, np.zeros(1), np.zeros(1), np.zeros(1))
+    assert not sched.finish_iteration(1, np.zeros(1), np.zeros(1))
     assert sched.propose(0.001) == (0.0, 1.0)
 
 
@@ -127,7 +132,7 @@ def test_restart_schedule_resets_weight_to_zero():
     for k in range(1, 6):
         beta, th = sched.propose(1.0)
         sched.commit(th, 1.0)
-        sched.finish_iteration(k, z, z, z)
+        sched.finish_iteration(k, z, z)
         betas.append(beta)
     # reset at k=3 makes the k=4 weight zero again, then momentum rebuilds
     assert betas[3] == 0.0

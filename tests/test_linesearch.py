@@ -23,15 +23,13 @@ def _quad_problem(curvature=4.0):
                      feasible_set=whole_space())
 
 
-def _state(prob, x):
-    """The state entering iteration 1 from the one-entry start [x]."""
+def _state(prob, x, h=None):
+    """The state entering iteration 1 from the one-entry start [x], with
+    subgradient h there (None for h = 0)."""
     x0 = np.array([x])
     z0 = prob.f.A @ x0
-    return IterateState(x_prev=x0, x_prev2=x0, z_prev=z0, z_prev2=z0,
-                        L_prev=1.0, k=1)
-
-
-NO_H = np.zeros(1)  # the subgradient of h = 0
+    return IterateState(x_prev=x0, z_prev=z0, dx=x0 - x0, dz=z0 - z0,
+                        h_prev=h, L_prev=1.0, k=1)
 
 
 def test_config_validation():
@@ -101,7 +99,7 @@ def test_backtrack_doubles_until_curvature():
     prob = _quad_problem(curvature=4.0)
     cfg = BacktrackConfig(mode="nonmonotone", eta=2.0, L_init=1.0)
     state = _state(prob, 1.0)
-    out = backtrack_step(prob, cfg, state, NO_H, BetaSchedule(family="none"),
+    out = backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert out.n_backtracks == 2
     assert out.L == 4.0
@@ -121,7 +119,7 @@ def test_backtrack_exhaustion_raises_with_context():
     cfg = BacktrackConfig(mode="nonmonotone", max_inner=5, L_init=1.0)
     state = _state(prob, 1.0)
     with pytest.raises(LineSearchError) as exc_info:
-        backtrack_step(prob, cfg, state, NO_H, BetaSchedule(family="none"),
+        backtrack_step(prob, cfg, state, BetaSchedule(family="none"),
                        IdentityMetricProvider())
     err = exc_info.value
     assert isinstance(err, RuntimeError)
@@ -149,7 +147,7 @@ def test_monotone_evaluates_metric_once_per_iteration():
     state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="monotone", L_init=1.0), state,
-                   NO_H, BetaSchedule(family="none"), counter)
+                   BetaSchedule(family="none"), counter)
     assert counter.trials == 1
 
 
@@ -158,16 +156,16 @@ def test_nonmonotone_reevaluates_metric_per_trial():
     state = _state(prob, 1.0)
     counter = _CountingProvider()
     backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0), state,
-                   NO_H, BetaSchedule(family="none"), counter)
+                   BetaSchedule(family="none"), counter)
     assert counter.trials == 3  # L = 1, 2, 4
 
 
 def test_concave_shift_enters_step():
     # h' acts as a constant shift of the gradient: x = y - t (grad - h')
     prob = _quad_problem(curvature=1.0)  # f = x^2/2, grad = x, L_true = 1
-    state = _state(prob, 2.0)
+    state = _state(prob, 2.0, h=np.array([1.0]))
     out = backtrack_step(prob, BacktrackConfig(mode="nonmonotone", L_init=1.0),
-                         state, np.array([1.0]), BetaSchedule(family="none"),
+                         state, BetaSchedule(family="none"),
                          IdentityMetricProvider())
     assert np.allclose(out.x, [1.0])
     assert out.n_backtracks == 0
@@ -184,15 +182,15 @@ def test_extrapolation_takes_A_y_by_linearity_unless_clipped():
     x_prev = np.array([1.0, 2.0, 0.5, 3.0])
 
     def state(x_prev2):
-        return IterateState(x_prev=x_prev, x_prev2=x_prev2, z_prev=A @ x_prev,
-                            z_prev2=A @ x_prev2)
+        return IterateState(x_prev=x_prev, z_prev=A @ x_prev, dx=x_prev - x_prev2,
+                            dz=A @ x_prev - A @ x_prev2)
 
-    # nothing clipped: A y = z_prev + beta (z_prev - z_prev2), within rounding
+    # nothing clipped: A y = z_prev + beta dz, within rounding
     s = state(np.array([0.5, 1.0, 0.25, 2.0]))
     y, _, _ = extrapolate(prob, s, 0.7)
     Ay = A @ y
     assert np.all(y > 0.0)
-    assert seen[-1].tobytes() == (s.z_prev + 0.7 * (s.z_prev - s.z_prev2)).tobytes()
+    assert seen[-1].tobytes() == (s.z_prev + 0.7 * s.dz).tobytes()
     assert np.linalg.norm(seen[-1] - Ay) <= 1e-12 * np.linalg.norm(Ay)
     # one coordinate clipped: A y is the forward product itself
     y, _, _ = extrapolate(prob, state(np.array([0.5, 1.0, 2.0, 2.0])), 0.7)
@@ -218,10 +216,11 @@ def test_identity_mark_changes_no_bit_of_a_trial(family):
     marked, plain = identity_metric(y.shape[0]), DiagonalMetric(np.ones(y.shape[0]))
     accepted = []
     for t in (1e-3, 0.1, 10.0, 1e3, 1e5):
-        x_a, z_a, f_a, ok_a = prox_trial(prob, y, f_y, grad_y, h, t, marked)
-        x_b, z_b, f_b, ok_b = prox_trial(prob, y, f_y, grad_y, h, t, plain)
+        x_a, z_a, f_a, d_a, ok_a = prox_trial(prob, y, f_y, grad_y, h, t, marked)
+        x_b, z_b, f_b, d_b, ok_b = prox_trial(prob, y, f_y, grad_y, h, t, plain)
         assert x_a.tobytes() == x_b.tobytes()
         assert z_a.tobytes() == z_b.tobytes()
+        assert d_a.tobytes() == d_b.tobytes() == (x_a - y).tobytes()
         assert np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
         assert ok_a == ok_b
         accepted.append(ok_a)

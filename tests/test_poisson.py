@@ -64,24 +64,31 @@ def _counts_with_zeros():
     return PoissonCsData(A=data.A, b=b, bg=data.bg, lam=data.lam)
 
 
+def _counts_all_positive():
+    data, _ = gen_poisson_cs(n=30, m=12, k_nonzeros=3, amp_max=50.0, rng=6)
+    return PoissonCsData(A=data.A, b=data.b + 1.0, bg=data.bg, lam=data.lam)
+
+
 def test_kl_matches_direct_formula_bit_for_bit():
-    # the constants built once per record give the values the formula gives
-    data = _counts_with_zeros()
-    A, b = data.A, data.b
-    pos = b > 0.0
-    assert 0 < pos.sum() < b.size
+    # the constants built once per record give the values the formula gives,
+    # through the mask (some zero counts) and through the slice (none)
     rng = np.random.default_rng(8)
     points = [np.zeros(30), np.ones(30)]
     points += [rng.uniform(0.0, scale, 30) for scale in (1e-3, 1.0, 1e4)
                for _ in range(4)]
-    f = kl_smooth(data)
-    for x in points:
-        c = A @ x + data.bg
-        want = float(np.sum(c) - np.sum(b) + np.sum(b[pos] * np.log(b[pos] / c[pos])))
-        v, g = f.value_grad(x)
-        assert v == want
-        assert f.eval(x) == want
-        assert np.array_equal(g, A.T @ (1.0 - b / c))
+    for data in (_counts_with_zeros(), _counts_all_positive()):
+        A, b = data.A, data.b
+        pos = b > 0.0
+        assert pos.any() and isinstance(data.pos, slice) == pos.all()
+        f = kl_smooth(data)
+        for x in points:
+            c = A @ x + data.bg
+            want = float(np.sum(c) - np.sum(b)
+                         + np.sum(b[pos] * np.log(b[pos] / c[pos])))
+            v, g = f.value_grad(x)
+            assert v == want
+            assert f.eval(x) == want
+            assert np.array_equal(g, A.T @ (1.0 - b / c))
 
 
 def test_constants_follow_the_counts_through_replace():
@@ -90,10 +97,21 @@ def test_constants_follow_the_counts_through_replace():
     assert np.array_equal(copy.pos, data.pos) and copy.b_sum == data.b_sum
     x = np.full(30, 0.5)
     assert kl_smooth(copy).eval(x) == kl_smooth(data).eval(x)
+    # a recount with no zero takes the slice, whose counts are a view
     recount = dataclasses.replace(data, b=data.b + 1.0)
-    assert recount.b_sum == np.sum(data.b + 1.0) and recount.pos.all()
+    assert recount.b_sum == np.sum(data.b + 1.0) and recount.pos == slice(None)
+    assert np.shares_memory(recount.b_pos, recount.b)
     fresh = PoissonCsData(A=data.A, b=data.b + 1.0, bg=data.bg)
     assert kl_smooth(recount).eval(x) == kl_smooth(fresh).eval(x)
+    # and one that brings a zero back takes the mask again
+    zeroed = recount.b.copy()
+    zeroed[5] = 0.0
+    rezero = dataclasses.replace(recount, b=zeroed)
+    assert np.array_equal(rezero.pos, zeroed > 0.0)
+    assert np.array_equal(rezero.b_pos, zeroed[zeroed > 0.0])
+    assert rezero.b_sum == np.sum(zeroed)
+    want = PoissonCsData(A=data.A, b=zeroed, bg=data.bg)
+    assert kl_smooth(rezero).eval(x) == kl_smooth(want).eval(x)
 
 
 def test_nan_point_gives_nan_value_and_negative_entry_still_rejected():

@@ -822,6 +822,40 @@ def test_criticality_stop_takes_gradient_from_carried_product():
         prob, x, 0.5, prob.f.value_grad(x)[1])
 
 
+def _counting_h(h):
+    """``h`` with each of its callables counting into the returned list."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(x)
+            return fn(x)
+        return wrapper
+    return dataclasses.replace(h, **{f.name: counted(getattr(h, f.name))
+                                     for f in dataclasses.fields(h)
+                                     if callable(getattr(h, f.name))}), calls
+
+
+@pytest.mark.parametrize("runner", ["spdcae", "spdcae-diagnostics", "pdcae"])
+@pytest.mark.parametrize("crit_tol", [None, 0.0], ids=["no-crit", "crit"])
+def test_h_is_called_once_per_iterate(runner, crit_tol):
+    # least squares 30 x 10 with l1 - l2: h is taken at x_0 and once at each
+    # accepted iterate, for F(x_k), the stop test and the next step together
+    base, _, _, lam, L = _lasso_problem()
+    h, calls = _counting_h(l2_concave(lam))
+    prob = dataclasses.replace(base, h=h)
+    stop = StoppingRule(max_iter=50, crit_tol=crit_tol)
+    x0 = np.linspace(-1.0, 1.0, 10)
+    if runner == "pdcae":
+        res = pdcae_run(prob, L, stop=stop, x0=x0)
+    else:
+        res = spdcae_run(prob, SolverConfig(), stop, x0=x0,
+                         diagnostics=runner.endswith("diagnostics"))
+    assert res.n_iterations == 50 and res.stop_reason == "max_iter"
+    assert len(calls) == 1 + 50
+    assert calls[0] is res.x0 and calls[-1] is res.x
+
+
 def _bits(value):
     # a float as its 8 bytes, so that -0.0 and 0.0 differ
     return struct.pack("<d", value) if isinstance(value, float) else value
@@ -840,13 +874,12 @@ def test_zero_concave_fast_path_matches_general_path_bit_for_bit(make):
     # zero that does not say so
     fast = make()
     general = dataclasses.replace(fast, h=ConcavePartOracle(
-        eval=lambda x: 0.0, subgrad=np.zeros_like))
+        lambda x: (0.0, np.zeros_like(x))))
 
     def poisoned(x):
         raise AssertionError("a zero h must not be called")
 
-    silent = dataclasses.replace(fast, h=ConcavePartOracle(
-        eval=poisoned, subgrad=poisoned, is_zero=True))
+    silent = dataclasses.replace(fast, h=ConcavePartOracle(poisoned, is_zero=True))
     assert fast.h.is_zero and not general.h.is_zero
     config = SolverConfig(backtrack=BacktrackConfig(mode="monotone"),
                           beta_family="plain")
