@@ -4,8 +4,8 @@ Change of units: A -> cA, x0 -> x0/c, lam -> c lam, with L_init, L_floor
 and a fixed L scaled by c^2.  Then A x, f, g, h and F are unchanged, the
 gradient and the subgradient of h scale by c, the step t by 1/c^2 and the
 iterates by 1/c.  For c a power of two every one of these scalings is
-exact, so an identity-metric run must repeat F, beta, the backtracks and
-the restarts bit for bit, with L times c^2 and x divided by c.  (A
+exact, so an identity-metric run must repeat F, beta, the backtracks, the
+restarts and the gates bit for bit, with L times c^2 and x divided by c.  (A
 non-identity metric depends on the units of A, so only the identity is
 covered.)
 """
@@ -20,7 +20,7 @@ from dcprox.accel import BetaSchedule
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.logreg import LogRegData, build_logreg_problem
 from dcprox.poisson import PoissonCsData, build_poisson_problem
-from dcprox.solver import StoppingRule, pdcae_run, spdcae_run
+from dcprox.solver import StoppingRule, adca_run, pdcae_run, spdcae_run
 
 ITERS = 300
 STOP = StoppingRule(max_iter=ITERS)
@@ -65,16 +65,23 @@ def _logistic_spdcae(name: str):
     return run
 
 
+L_FIXED = 0.5  # above the curvature bound of the logistic design, 0.22
+
+
 def _logistic_pdcae(c: float):
     problem, x0 = _logistic(c)
-    L = 0.5  # above the curvature bound of this design
-    return pdcae_run(problem, L * c * c, BetaSchedule(T2=50), STOP, x0=x0)
+    return pdcae_run(problem, L_FIXED * c * c, BetaSchedule(T2=50), STOP, x0=x0)
+
+
+def _logistic_adca(c: float):
+    problem, x0 = _logistic(c)
+    return adca_run(problem, L_FIXED * c * c, 3, STOP, x0=x0)
 
 
 RUNS = {"poisson-pdcae0": _poisson("pdcae0"), "poisson-pdcae1": _poisson("pdcae1"),
         "logistic-pdcae1": _logistic_spdcae("pdcae1"),
         "logistic-pdcae0": _logistic_spdcae("pdcae0"),
-        "logistic-pdcae_run": _logistic_pdcae}
+        "logistic-pdcae_run": _logistic_pdcae, "logistic-adca_run": _logistic_adca}
 
 
 def _bytes(a) -> bytes:
@@ -92,9 +99,14 @@ def test_change_of_units_gives_the_same_run_bit_for_bit(name, c):
     assert _bytes(ts.beta_used) == _bytes(tb.beta_used)
     assert np.array_equal(ts.n_backtracks, tb.n_backtracks)
     assert np.array_equal(ts.restarted, tb.restarted)
+    assert np.array_equal(ts.gate_passed, tb.gate_passed)
     assert _bytes(ts.L_accepted) == _bytes(tb.L_accepted * (c * c))
     assert _bytes(scaled.x) == _bytes(base.x / c)
-    # the runs are not trivial: steps were searched, momentum restarted
-    if "pdcae_run" not in name:
+    # the runs are not trivial: steps were searched, momentum restarted or
+    # the gate rejected a candidate
+    if name.endswith("adca_run"):
+        assert not tb.gate_passed.all()
+    else:
+        assert tb.restarted.any()
+    if "pdcae0" in name or "pdcae1" in name:
         assert tb.n_backtracks.sum() > 0
-    assert tb.restarted.any()
