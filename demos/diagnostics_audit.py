@@ -3,8 +3,10 @@
 Every accepted iteration is supposed to satisfy a sufficient-decrease bound
 (the quantity the line search enforces at the extrapolated point), and the
 extrapolated point itself must not overshoot the metric ball that makes
-momentum safe.  Both are checkable after the fact from stored snapshots,
-and the convex mode additionally carries a per-iteration energy certificate.
+momentum safe.  A run with ``diagnostics=True`` records the descent slack in
+its trace, the extrapolation slack is checkable after the fact from stored
+snapshots, and the convex mode additionally carries a per-iteration energy
+certificate.
 A run that violates any of these has a bug, a bad metric, or a broken
 oracle; this demo shows all three audits coming back clean, plus the trace
 CSV round trip (descent slacks included) the command line tools consume.
@@ -18,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from dcprox import (BacktrackConfig, DcProblem, SolverConfig, StoppingRule,
-                    build_logreg_problem, descent_inequality_slacks,
-                    extrapolation_slacks, gen_logreg, l1_proximable,
-                    least_squares_smooth, objective, read_trace_csv,
-                    sfista_lyapunov, sfista_run, spdcae_run, whole_space,
-                    write_trace_csv, zero_concave)
+                    build_logreg_problem, extrapolation_slacks, gen_logreg,
+                    l1_proximable, least_squares_smooth, objective,
+                    read_trace_csv, sfista_lyapunov, sfista_run, spdcae_run,
+                    whole_space, write_trace_csv, zero_concave)
 
 data, _ = gen_logreg(200, 40, rng=1)
 problem = build_logreg_problem(data)
@@ -30,7 +31,7 @@ res = spdcae_run(problem, SolverConfig(metric="adagrad"),
                  StoppingRule(max_iter=400), x0=np.zeros(40),
                  keep_states=True, diagnostics=True)
 
-descent = descent_inequality_slacks(problem, res)
+descent = res.trace.descent_slack
 extrap = extrapolation_slacks(res)
 print(f"DC run, {res.n_iterations} iterations")
 print(f"  descent slack:        min {descent.min():+.3e}  (>= 0 up to roundoff)")

@@ -16,8 +16,7 @@ from .datasets import (ParseError, gen_logreg, gen_poisson_cs,
 from .linesearch import (BacktrackConfig, IterateState, LineSearchError,
                          backtrack_step, initial_L, sufficient_decrease)
 from .logreg import (LogRegData, build_logreg_problem, l1_proximable,
-                     l1_scaled_prox, l2_concave, l2_subgradient,
-                     logistic_lipschitz_bound)
+                     l1_scaled_prox, l2_concave, logistic_lipschitz_bound)
 from .metric import (AdaGradMetricProvider, DiagonalMetric,
                      IdentityMetricProvider, SplitGradientMetricProvider,
                      gamma, growth_factor, identity_metric)
@@ -29,9 +28,8 @@ from .problem import (ConcavePartOracle, DcProblem, EvaluationDomainError,
                       nonnegative_orthant, objective, quadratic_smooth,
                       whole_space, zero_concave, zero_proximable)
 from .solver import (RunResult, SolverConfig, StoppingRule, adca_run,
-                     descent_inequality_slacks, extrapolation_slacks,
-                     pdcae_run, relative_error, sfista_lyapunov, sfista_run,
-                     spdcae_run)
+                     extrapolation_slacks, pdcae_run, relative_error,
+                     sfista_lyapunov, sfista_run, spdcae_run)
 from .trace import (ConfigError, SummaryRow, Trace, TraceRecord, audit_trace,
                     read_summary_csv, read_trace_csv, write_trace_csv)
 
@@ -45,13 +43,12 @@ __all__ = [
     "PoissonCsData", "ProximableOracle", "RunConfig", "RunResult",
     "SmoothOracle", "SolverConfig", "SplitGradientMetricProvider",
     "StoppingRule", "SummaryRow", "Trace", "TraceRecord", "adca_run",
-    "audit_trace", "backtrack_step",
-    "build_logreg_problem", "build_poisson_problem", "criticality_residual",
-    "descent_inequality_slacks", "extrapolation_slacks",
+    "audit_trace", "backtrack_step", "build_logreg_problem",
+    "build_poisson_problem", "criticality_residual", "extrapolation_slacks",
     "gamma", "gen_logreg", "gen_poisson_cs", "growth_factor",
     "identity_metric", "initial_L", "kl_split",
     "l1_nonneg_proximable", "l1_nonneg_scaled_prox", "l1_proximable",
-    "l1_scaled_prox", "l2_concave", "l2_subgradient", "least_squares_smooth",
+    "l1_scaled_prox", "l2_concave", "least_squares_smooth",
     "load_dataset_json", "logistic_lipschitz_bound",
     "make_rng", "nonnegative_orthant", "objective", "pdcae_run",
     "poisson_sample", "quadratic_smooth", "read_libsvm", "read_summary_csv",

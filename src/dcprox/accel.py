@@ -1,10 +1,11 @@
 """Extrapolation weight schedules.
 
-The momentum weight beta_k = (theta_{k-1} - 1) / theta_k is driven by one of
-two theta recursions: the classical one, and a coupled one whose ratio term
-ties consecutive step sizes together so that theta_k^2 - theta_k equals
-(t_{k-1}/t_k) * theta_{k-1}^2 exactly.  Restart variants reset theta on a
-fixed period or when the momentum turns against the last step.
+The momentum weight beta_k = (theta_{k-1} - 1) / theta_k is driven by a
+coupled theta recursion whose ratio term ties consecutive step sizes
+together so that theta_k^2 - theta_k equals (t_{k-1}/t_k) * theta_{k-1}^2
+exactly.  At an unchanged step the ratio is exactly 1 and the recursion is
+the classical one.  Restart variants reset theta on a fixed period or when
+the momentum turns against the last step.
 """
 
 from __future__ import annotations
@@ -17,25 +18,19 @@ import numpy as np
 Array = np.ndarray
 
 
-def theta_next(theta: float, t_prev: float, t_cur: float,
-               classical: bool = False) -> float:
+def theta_next(theta: float, t_prev: float, t_cur: float) -> float:
     """Positive root of th^2 - th - (t_prev/t_cur) * theta^2 = 0.
 
-    Advances from ``theta``; ``classical`` fixes the ratio at 1.  Either way
-    t_prev = 0 encodes the start convention and yields exactly 1, so the
-    first two emitted weights are zero.  At a constant step the ratio is
-    exactly 1 after the first commit, so both recursions agree bit for bit.
+    Advances from ``theta``.  t_prev = 0 encodes the start convention and
+    yields exactly 1, so the first two emitted weights are zero.  At a
+    constant step the ratio is exactly 1 after the first commit, which is
+    the classical recursion bit for bit.
     """
     if t_cur <= 0.0:
         raise ValueError("current step size must be positive")
     if t_prev < 0.0:
         raise ValueError("previous step size must be nonnegative")
-    if t_prev == 0.0:
-        ratio = 0.0
-    elif classical:
-        ratio = 1.0
-    else:
-        ratio = t_prev / t_cur
+    ratio = 0.0 if t_prev == 0.0 else t_prev / t_cur
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * theta * theta))
 
 
@@ -52,7 +47,6 @@ class BetaSchedule:
     applies the restart rule using the accepted iterate.  ``theta`` and
     ``t_prev`` hold the last committed theta_k and t_k; the fresh values
     encode theta_0 = 1 with t_0 = 0, so the first proposed weight is zero.
-    ``classical`` selects the classical theta recursion (see ``theta_next``).
     """
 
     family: str = "fixed-adaptive-restart"
@@ -60,7 +54,6 @@ class BetaSchedule:
     T2: int = 200
     theta: float = 1.0
     t_prev: float = 0.0
-    classical: bool = False
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -74,7 +67,7 @@ class BetaSchedule:
         """Return (beta_k, theta_k) for a trial step size t_cur."""
         if self.family == "none":
             return 0.0, 1.0
-        th = theta_next(self.theta, self.t_prev, t_cur, self.classical)
+        th = theta_next(self.theta, self.t_prev, t_cur)
         beta = (self.theta - 1.0) / th
         if self.family == "contract":
             beta *= self.delta

@@ -187,8 +187,9 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
 
     ``beta_provider.propose(t)`` and ``metric_provider.trial(k, y, grad_y)``
     are re-evaluated inside every trial in non-monotone mode, since the
-    coupled weight depends on the trial step size; monotone mode fixes the
-    extrapolated point (classical weights do not depend on t) and only
+    coupled weight depends on the trial step size; monotone mode proposes
+    beta once, at the first trial, whose step 1/L_{k-1} is t_prev from k = 2
+    on (a step ratio of exactly 1), fixes the extrapolated point and only
     re-solves the prox subproblem.  On acceptance the providers are committed,
     ``beta_provider.commit(theta, t)`` then ``metric_provider.accept(k,
     grad_y)``; the restart rule is left to the caller.  The subgradient of h

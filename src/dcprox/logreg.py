@@ -115,11 +115,6 @@ def l1_scaled_prox(v: Array, t: float, lam: float,
     return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
 
 
-def l2_subgradient(x: Array, lam: float) -> Array:
-    """lam * x / ||x||, with the zero vector selected at the origin."""
-    return l2_concave(lam).subgrad(x)
-
-
 def _frobenius_sq(A) -> float:
     if _issparse(A):
         return float(np.dot(A.data, A.data))

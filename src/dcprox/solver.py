@@ -10,8 +10,9 @@ extrapolation on recent objective values.  The loop records the trace and
 snapshots and stops with reason "nonfinite" (the accepted objective is not
 finite), "rel_tol", "crit_tol" or "stalled" (the lowest objective stopped
 falling over a set number of iterations), tested in that order, or
-"max_iter".  Audit helpers re-check the per-iteration inequalities the
-analysis relies on, from recorded iteration snapshots.
+"max_iter".  Under ``diagnostics`` the loop records the slack of the
+per-iteration descent bound; audit helpers re-check the extrapolation and
+energy inequalities from recorded iteration snapshots.
 """
 
 from __future__ import annotations
@@ -115,12 +116,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.metric not in ("identity", "adagrad", "split-gradient"):
             raise ValueError(f"unknown metric strategy: {self.metric!r}")
+        for name in ("epsilon", "clamp_numerator"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative")
         _make_beta_schedule(self)  # rejects a bad beta_family, delta or T2
 
 
 def _make_beta_schedule(config: SolverConfig) -> BetaSchedule:
-    return BetaSchedule(family=config.beta_family, delta=config.delta,
-                        T2=config.T2, classical=config.backtrack.mode == "monotone")
+    return BetaSchedule(family=config.beta_family, delta=config.delta, T2=config.T2)
 
 
 def _make_metric_provider(config: SolverConfig, problem: DcProblem):
@@ -277,7 +281,8 @@ def spdcae_run(problem: DcProblem, config: SolverConfig,
 
     ``x0`` must lie in dom g and the feasible set.  ``keep_states`` records
     per-iteration snapshots for the audit helpers; ``diagnostics`` fills the
-    per-iteration descent slack into the trace.
+    per-iteration descent slack (``_slack`` at x = x_{k-1}, y_bar = x_k)
+    into the trace.
     """
     x0 = _check_start(problem, x0)
     beta_schedule = _make_beta_schedule(config)
@@ -341,11 +346,12 @@ def pdcae_run(problem: DcProblem, L_fixed: float,
     """Fixed-step identity-metric baseline with restarted weights.
 
     Equivalent to the general loop with a constant step 1/L_fixed and no line
-    search, where the theta recursion is the classical one.  Every run
-    starts from the settings of ``restart_config`` with fresh weight state
-    (theta = 1, t_prev = 0) and leaves the caller's schedule unchanged.
-    Violations of the descent bound at the fixed step are reported once as a
-    RuntimeWarning (the constant was under-estimated), not errors.
+    search; at a constant step the theta recursion is the classical one.
+    Every run starts from the settings of ``restart_config`` with fresh
+    weight state (theta = 1, t_prev = 0) and leaves the caller's schedule
+    unchanged.  Violations of the descent bound at the fixed step are
+    reported once as a RuntimeWarning (the constant was under-estimated),
+    not errors.
     """
     x0, t, prox_step = _fixed_step(problem, L_fixed, x0, "pdcae_run")
     schedule = dataclasses.replace(restart_config or BetaSchedule(),
@@ -420,24 +426,6 @@ def _iterates(result: RunResult):
         raise ValueError("run was made without keep_states=True")
     xs = [result.x0, result.x0] + [snap.x for snap in result.states]
     return zip(xs, xs[1:], result.states)
-
-
-def descent_inequality_slacks(problem: DcProblem, result: RunResult) -> np.ndarray:
-    """Per-iteration slack of the objective descent bound.
-
-    F(x_k) <= F(x_{k-1}) + ||x_{k-1} - y_k||_D^2/(2 t_k)
-                        - ||x_k - x_{k-1}||_D^2/(2 t_k).
-
-    F(x_k) comes from the snapshot's f(x_k); only F(x_0) is evaluated.
-    """
-    slacks = []
-    F_prev = objective(problem, result.x0)
-    for _, x_prev, snap in _iterates(result):
-        F_k = objective(problem, snap.x, snap.f)
-        slacks.append(_slack(F_prev, F_k, x_prev, snap.y, snap.x, snap.t,
-                             snap.metric))
-        F_prev = F_k
-    return np.asarray(slacks)
 
 
 def extrapolation_slacks(result: RunResult) -> np.ndarray:

@@ -253,14 +253,10 @@ def _read_rows(path, table, what: str):
 
 
 def write_trace_csv(path, trace) -> None:
-    """One row per record, one column per TraceRecord field; lossless.
-
-    ``trace`` is a ``Trace``, or an iterable of ``TraceRecord``s that is
-    first turned into one.  Rows are formatted from the columns a block of
-    rows at a time, so no record and no full-length list of cells is built.
+    """One row per record of the ``Trace``, one column per TraceRecord
+    field; lossless.  Rows are formatted from the columns a block of rows at
+    a time, so no record and no full-length list of cells is built.
     """
-    if not isinstance(trace, Trace):
-        trace = Trace.from_records(trace)
     _write_csv(path, _TRACE_COLUMNS, len(trace), trace._values)
 
 

@@ -9,23 +9,13 @@ GOLDEN = 1.618033988749895
 THETA3 = 2.193527085331054
 
 
-def test_fresh_state_yields_exactly_one_in_both_modes():
-    for classical in (False, True):
-        assert theta_next(1.0, 0.0, 0.5, classical) == 1.0
-        sched = BetaSchedule(family="plain", classical=classical)
-        assert sched.propose(0.5) == (0.0, 1.0)
+def test_fresh_state_yields_exactly_one():
+    assert theta_next(1.0, 0.0, 0.5) == 1.0
+    assert BetaSchedule(family="plain").propose(0.5) == (0.0, 1.0)
 
 
 def test_coupled_golden_step():
     assert theta_next(1.0, 1.0, 1.0) == pytest.approx(GOLDEN, rel=1e-15)
-
-
-def test_classical_ignores_step_ratio():
-    a = theta_next(GOLDEN, 1.0, 1.0, classical=True)
-    b = theta_next(GOLDEN, 1.0, 0.125, classical=True)
-    assert a == b == pytest.approx(THETA3, rel=1e-15)
-    # at an unchanged step the coupled recursion is the classical one
-    assert theta_next(GOLDEN, 0.125, 0.125) == a
 
 
 def test_coupled_identity_holds():

@@ -37,8 +37,7 @@ from dcprox.problem import (DcProblem, criticality_residual,
                             least_squares_smooth, nonnegative_orthant,
                             objective, quadratic_smooth, whole_space,
                             zero_concave, zero_proximable)
-from dcprox.solver import (SolverConfig, StoppingRule,
-                           descent_inequality_slacks, pdcae_run, sfista_run,
+from dcprox.solver import (SolverConfig, StoppingRule, pdcae_run, sfista_run,
                            sfista_lyapunov, spdcae_run)
 
 
@@ -62,7 +61,7 @@ def _lasso_instance(m, n, lam, seed):
 
 def _descent_floor_ok(prob, res):
     """Slack of every accepted iteration vs the audited descent bound."""
-    slacks = descent_inequality_slacks(prob, res)
+    slacks = res.trace.descent_slack
     F_prev = np.array([objective(prob, res.x0)]
                       + [r.F_value for r in res.trace[:-1]])
     floors = -1e-10 * np.maximum(1.0, np.abs(F_prev))
@@ -116,7 +115,7 @@ def test_descent_bound_audit_on_mixed_instances(report):
     worst = np.inf
     for prob, cfg, x0 in pool:
         res = spdcae_run(prob, cfg, StoppingRule(max_iter=60), x0=x0,
-                         keep_states=True)
+                         diagnostics=True)
         ok, margin = _descent_floor_ok(prob, res)
         worst = min(worst, margin)
         if not ok:
@@ -338,7 +337,8 @@ def test_dc_runs_settle_at_critical_points(report):
     ok = True
     details = []
     for name, prob, cfg, stop, x0 in runs:
-        res = spdcae_run(prob, cfg, stop, x0=x0, keep_states=True)
+        res = spdcae_run(prob, cfg, stop, x0=x0, keep_states=True,
+                         diagnostics=True)
         crit = criticality_residual(prob, res.x, res.trace[-1].t)
         slack_ok, _ = _descent_floor_ok(prob, res)
         xs = [res.x0] + [s.x for s in res.states]

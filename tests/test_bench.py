@@ -142,6 +142,9 @@ def test_config_rejects_inexact_numbers(over, key):
     ({"name": "pdcae", "L": 0.0}, "L must be positive"),
     ({"name": "adca", "L": -1.0}, "L must be positive"),
     ({"name": "adca", "q": -1}, "q must be nonnegative"),
+    ({"name": "spdcae1", "epsilon": -1.0}, "epsilon must be finite and nonnegative"),
+    ({"name": "spdcae1", "clamp_numerator": -1e13},
+     "clamp_numerator must be finite and nonnegative"),
 ])
 def test_config_rejects_out_of_range_solver_values(solver, message):
     with pytest.raises(ConfigError, match=f"solver '{solver['name']}': .*{message}"):
@@ -287,7 +290,7 @@ _records = st.builds(
 def test_trace_csv_round_trip(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
-        write_trace_csv(path, trace)
+        write_trace_csv(path, Trace.from_records(trace))
         back = read_trace_csv(path)
     # every field, floats exactly: repr round-trips doubles
     assert [dataclasses.astuple(r) for r in back] == \
@@ -300,7 +303,7 @@ def test_trace_counts_outside_int64_are_rejected(tmp_path, field):
     # ConfigError (tests/test_cli.py)
     rec = dataclasses.replace(_rec(1, None), **{field: 2**63})
     with pytest.raises(OverflowError):
-        write_trace_csv(tmp_path / "trace.csv", [rec])
+        write_trace_csv(tmp_path / "trace.csv", Trace.from_records([rec]))
 
 
 def test_run_trace_stays_small():

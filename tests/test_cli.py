@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dcprox.trace import (_audit_summary, audit_trace, read_summary_csv,
+from dcprox.trace import (Trace, _audit_summary, audit_trace, read_summary_csv,
                           read_trace_csv, write_trace_csv)
 from dcprox.cli import main
 from dcprox.datasets import load_dataset_json
@@ -146,7 +146,7 @@ def test_trace_csv_from_trace_and_from_records_is_byte_identical(tmp_path):
     for i, trace in enumerate(_solver_traces()):
         columns, records = tmp_path / f"columns{i}.csv", tmp_path / f"records{i}.csv"
         write_trace_csv(columns, trace)
-        write_trace_csv(records, list(trace))
+        write_trace_csv(records, Trace.from_records(list(trace)))
         assert columns.read_bytes() == records.read_bytes()
         # a trace read back, with per-row masks, writes the same bytes again
         again = tmp_path / f"again{i}.csv"
@@ -215,7 +215,7 @@ def test_check_flags_doctored_trace(tmp_path, capsys, audit):
         trace = []
         message = "empty trace"
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
+    write_trace_csv(path, Trace.from_records(trace))
     assert main(["check", "--trace", str(path)]) == 3
     out, err = capsys.readouterr()
     assert message in err and err.count("check FAIL") == 1

@@ -8,8 +8,8 @@ from conftest import finite_diff_grad, golden_section
 
 from dcprox.datasets import gen_logreg, gen_poisson_cs
 from dcprox.logreg import (LogRegData, build_logreg_problem, l1_proximable,
-                           l1_scaled_prox, l2_concave, l2_subgradient,
-                           logistic_lipschitz_bound, logistic_smooth)
+                           l1_scaled_prox, l2_concave, logistic_lipschitz_bound,
+                           logistic_smooth)
 from dcprox.metric import DiagonalMetric
 from dcprox.poisson import build_poisson_problem
 from dcprox.problem import least_squares_smooth, objective, quadratic_smooth
@@ -160,9 +160,10 @@ def test_scaled_prox_against_golden_section():
 
 
 def test_norm_subgradient():
-    assert np.array_equal(l2_subgradient(np.zeros(3), 2.0), np.zeros(3))
+    h = l2_concave(2.0)
+    assert np.array_equal(h.subgrad(np.zeros(3)), np.zeros(3))
     x = np.array([3.0, 4.0])
-    g = l2_subgradient(x, 2.0)
+    g = h.subgrad(x)
     assert np.allclose(g, [1.2, 1.6])
     assert np.linalg.norm(g) == pytest.approx(2.0)
 
@@ -176,7 +177,7 @@ def test_norm_matches_numpy_norm_bit_for_bit():
         for n in (1, 7, 500):
             x = scale * rng.standard_normal(n)
             nrm = np.linalg.norm(x)
-            assert np.array_equal(l2_subgradient(x, 0.3), 0.3 * x / nrm)
+            assert np.array_equal(h.subgrad(x), 0.3 * x / nrm)
             assert h.eval(x) == float(0.3 * nrm)
 
 

@@ -1,5 +1,11 @@
 """Exact metamorphic relations of the solvers.
 
+Column sign flips: negate a set S of columns of A and the same entries of
+x0.  Then A x is unchanged, the gradient and the iterates are negated on S,
+and the l1 prox, the l2 subgradient and the adagrad metric (which squares
+the gradient) follow the sign exactly, so every run must repeat F, L, beta,
+the backtracks, the restarts and the gates bit for bit, with x negated on S.
+
 Change of units: A -> cA, x0 -> x0/c, lam -> c lam, with L_init, L_floor
 and a fixed L scaled by c^2.  Then A x, f, g, h and F are unchanged, the
 gradient and the subgradient of h scale by c, the step t by 1/c^2 and the
@@ -56,9 +62,8 @@ def _logistic(c: float) -> tuple:
     return build_logreg_problem(scaled), x0 / c
 
 
-def _logistic_spdcae(name: str):
-    def run(c: float):
-        problem, x0 = _logistic(c)
+def _logistic_profile(name: str):
+    def run(problem, x0, c: float = 1.0):
         # a start below the curvature, so the monotone search backtracks too
         config = _scaled_profile(name, "logreg", c, L_init=1e-3)
         return spdcae_run(problem, config, STOP, x0=x0)
@@ -68,20 +73,26 @@ def _logistic_spdcae(name: str):
 L_FIXED = 0.5  # above the curvature bound of the logistic design, 0.22
 
 
-def _logistic_pdcae(c: float):
-    problem, x0 = _logistic(c)
+def _logistic_pdcae(problem, x0, c: float = 1.0):
     return pdcae_run(problem, L_FIXED * c * c, BetaSchedule(T2=50), STOP, x0=x0)
 
 
-def _logistic_adca(c: float):
-    problem, x0 = _logistic(c)
+def _logistic_adca(problem, x0, c: float = 1.0):
     return adca_run(problem, L_FIXED * c * c, 3, STOP, x0=x0)
 
 
+LOGISTIC = {**{name: _logistic_profile(name)
+               for name in ("spdcae1", "spdcae0", "pdcae1", "pdcae0")},
+            "pdcae_run": _logistic_pdcae, "adca_run": _logistic_adca}
+
+
+def _in_units(run):
+    return lambda c: run(*_logistic(c), c)
+
+
 RUNS = {"poisson-pdcae0": _poisson("pdcae0"), "poisson-pdcae1": _poisson("pdcae1"),
-        "logistic-pdcae1": _logistic_spdcae("pdcae1"),
-        "logistic-pdcae0": _logistic_spdcae("pdcae0"),
-        "logistic-pdcae_run": _logistic_pdcae, "logistic-adca_run": _logistic_adca}
+        **{f"logistic-{name}": _in_units(LOGISTIC[name])
+           for name in ("pdcae1", "pdcae0", "pdcae_run", "adca_run")}}
 
 
 def _bytes(a) -> bytes:
@@ -109,4 +120,34 @@ def test_change_of_units_gives_the_same_run_bit_for_bit(name, c):
     else:
         assert tb.restarted.any()
     if "pdcae0" in name or "pdcae1" in name:
+        assert tb.n_backtracks.sum() > 0
+
+
+def _signed_logistic(signs: np.ndarray) -> tuple:
+    data, x0 = _logistic_data()
+    flipped = LogRegData(A=data.A * signs, b=data.b, lam=data.lam)
+    return build_logreg_problem(flipped), x0 * signs
+
+
+@pytest.mark.parametrize("name", list(LOGISTIC))
+def test_column_sign_flips_give_the_same_run_bit_for_bit(name):
+    n = _logistic_data()[0].n
+    signs = np.where(np.random.default_rng(6).random(n) < 0.5, -1.0, 1.0)
+    assert (signs < 0).any() and (signs > 0).any()
+    base, flipped = (LOGISTIC[name](*_signed_logistic(s)) for s in (np.ones(n), signs))
+    tb, tf = base.trace, flipped.trace
+    assert base.stop_reason == flipped.stop_reason == "max_iter"
+    assert len(tb) == len(tf) == ITERS
+    for column in ("F_value", "L_accepted", "beta_used"):
+        assert _bytes(getattr(tf, column)) == _bytes(getattr(tb, column))
+    assert np.array_equal(tf.n_backtracks, tb.n_backtracks)
+    assert np.array_equal(tf.restarted, tb.restarted)
+    assert np.array_equal(tf.gate_passed, tb.gate_passed)
+    assert _bytes(flipped.x) == _bytes(base.x * signs)
+    assert np.count_nonzero(base.x) > 1  # both penalty terms act on x
+    if name == "adca_run":
+        assert not tb.gate_passed.all()
+    else:
+        assert tb.restarted.any()
+    if name in ("spdcae1", "spdcae0", "pdcae1", "pdcae0"):
         assert tb.n_backtracks.sum() > 0

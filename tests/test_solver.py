@@ -19,9 +19,8 @@ from dcprox.problem import (ConcavePartOracle, DcProblem, SmoothOracle,
                             nonnegative_orthant, objective, quadratic_smooth,
                             whole_space, zero_concave, zero_proximable)
 from dcprox.solver import (RunResult, SolverConfig, StoppingRule, adca_run,
-                           descent_inequality_slacks, extrapolation_slacks,
-                           pdcae_run, relative_error, sfista_lyapunov,
-                           sfista_run, spdcae_run)
+                           extrapolation_slacks, pdcae_run, relative_error,
+                           sfista_lyapunov, sfista_run, spdcae_run)
 from dcprox.trace import Trace, TraceRecord
 
 
@@ -158,8 +157,8 @@ def test_descent_slacks_nonnegative_across_problem_types():
     runs.append((_one_dim_dc(), SolverConfig(), np.array([2.0])))
     for prob, cfg, x0 in runs:
         res = spdcae_run(prob, cfg, StoppingRule(max_iter=120), x0=x0,
-                         keep_states=True)
-        slacks = descent_inequality_slacks(prob, res)
+                         diagnostics=True)
+        slacks = res.trace.descent_slack
         F_prev = np.array([objective(prob, res.x0)]
                           + [r.F_value for r in res.trace[:-1]])
         floors = -1e-10 * np.maximum(1.0, np.abs(F_prev))
@@ -174,6 +173,13 @@ def _descent_formula(prob, x_prev, snap, D):
     return rhs - objective(prob, snap.x)
 
 
+def _descent_formulas(prob, res):
+    """``_descent_formula`` for every snapshot of ``res``."""
+    xs = [res.x0] + [snap.x for snap in res.states]
+    return [_descent_formula(prob, x_prev, snap, snap.metric)
+            for x_prev, snap in zip(xs, res.states)]
+
+
 def test_descent_audit_reuses_snapshot_objectives():
     prob, A, yv, lam, L = _lasso_problem()
     counts = {"value_at": 0}
@@ -184,16 +190,15 @@ def test_descent_audit_reuses_snapshot_objectives():
 
     counting = dataclasses.replace(
         prob, f=dataclasses.replace(prob.f, value_at=counted_value_at))
-    res = spdcae_run(counting, SolverConfig(), StoppingRule(max_iter=50), x0=np.zeros(10),
-                     keep_states=True)
-    counts["value_at"] = 0
-    slacks = descent_inequality_slacks(counting, res)
-    assert counts["value_at"] == 1  # F(x_0) alone
+    calls = []
+    for diagnostics in (False, True):
+        counts["value_at"] = 0
+        res = spdcae_run(counting, SolverConfig(), StoppingRule(max_iter=50),
+                         x0=np.zeros(10), keep_states=True, diagnostics=diagnostics)
+        calls.append(counts["value_at"])
+    assert calls[1] == calls[0] + 1  # F(x_0) alone
     # the values of the per-snapshot formula, bit for bit
-    xs = [res.x0] + [snap.x for snap in res.states]
-    expected = [_descent_formula(prob, x_prev, snap, snap.metric)
-                for x_prev, snap in zip(xs, res.states)]
-    assert slacks.tolist() == expected
+    assert res.trace.descent_slack.tolist() == _descent_formulas(prob, res)
 
 
 def test_extrapolation_bound_holds_under_projection():
@@ -331,6 +336,14 @@ def test_stopping_rule_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             StoppingRule(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["epsilon", "clamp_numerator"])
+def test_solver_config_rejects_negative_or_nonfinite_metric_constants(name):
+    for bad in (-1.0, -1e-300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            SolverConfig(**{name: bad})
+    assert getattr(SolverConfig(**{name: 0.0}), name) == 0.0
 
 
 def _new_lows(trace):
@@ -479,9 +492,9 @@ def test_audits_require_snapshots():
     res = spdcae_run(prob, SolverConfig(), StoppingRule(max_iter=5),
                      x0=np.array([2.0]))
     with pytest.raises(ValueError):
-        descent_inequality_slacks(prob, res)
-    with pytest.raises(ValueError):
         extrapolation_slacks(res)
+    with pytest.raises(ValueError):
+        sfista_lyapunov(prob, np.ones(1), -0.5, res)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -541,7 +554,7 @@ def test_trace_reads_as_the_records_of_its_snapshots(runner):
         res = spdcae_run(prob, SolverConfig(T2=10),
                          StoppingRule(max_iter=2500, ref_value=ref), x0=x0,
                          keep_states=True, diagnostics=True)
-        slacks = descent_inequality_slacks(prob, res).tolist()
+        slacks = _descent_formulas(prob, res)
     assert isinstance(res.trace, Trace) and res.n_iterations == 2500
     expected = _records_from_snapshots(prob, res, ref, slacks)
     trace = res.trace
@@ -660,19 +673,38 @@ def _record_reprs(res):
     return [repr(dataclasses.replace(r, wall_clock_seconds=0.0)) for r in res.trace]
 
 
+def _classical_betas(trace) -> list:
+    """beta_k = (theta_{k-1} - 1)/theta_k of the classical recursion
+    theta_k = (1 + sqrt(1 + 4 theta_{k-1}^2))/2 with theta_1 = 1, theta
+    reset to 1 after every restarted row of ``trace``."""
+    betas, theta = [], 1.0
+    for k, restarted in enumerate(trace.restarted.tolist(), 1):
+        th = 1.0 if k == 1 else 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        betas.append((theta - 1.0) / th)
+        theta = 1.0 if restarted else th
+    return betas
+
+
 @pytest.mark.parametrize("divisor", [1.0, 50.0])
 def test_fixed_step_classical_weights_match_default_schedule(divisor):
     # at a constant step the coupled theta recursion is the classical one
     prob, A, yv, lam, L = _lasso_problem(seed=7)
-    stop = StoppingRule(max_iter=300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        default = pdcae_run(prob, L / divisor, stop=stop, x0=np.zeros(10))
-        classical = pdcae_run(prob, L / divisor, BetaSchedule(classical=True),
-                              stop, x0=np.zeros(10))
-    assert default.stop_reason == classical.stop_reason
-    assert _record_reprs(default) == _record_reprs(classical)
-    assert default.x.tobytes() == classical.x.tobytes()
+        res = pdcae_run(prob, L / divisor, stop=StoppingRule(max_iter=300),
+                        x0=np.zeros(10))
+    assert res.trace.beta_used.tolist() == _classical_betas(res.trace)
+
+
+def test_monotone_search_weights_are_the_classical_recursion():
+    # the monotone search proposes beta once per iteration, at the first
+    # trial, where t = 1/L_{k-1} = t_{k-1}: the coupled ratio is exactly 1
+    # even when the step then backtracks
+    data, _ = gen_poisson_cs(n=200, m=60, k_nonzeros=3, amp_max=50.0, rng=0)
+    res = spdcae_run(build_poisson_problem(data), bench._profile("spdcae0", "poisson", {}),
+                     StoppingRule(max_iter=300), x0=np.ones(200))
+    assert res.trace.n_backtracks[1:].sum() > 0 and res.trace.restarted.any()
+    assert res.trace.beta_used.tolist() == _classical_betas(res.trace)
 
 
 @pytest.mark.parametrize("runner", ["pdcae", "adca"])
@@ -685,12 +717,9 @@ def test_fixed_step_snapshots_carry_identity_metric(runner):
     assert all(np.array_equal(snap.metric.diag, np.ones(8)) for snap in res.states)
     D = DiagonalMetric(np.ones(8))
     xs = [res.x0, res.x0] + [snap.x for snap in res.states]
-    descent = [_descent_formula(prob, x_prev, snap, D)
-               for x_prev, snap in zip(xs[1:], res.states)]
     extrapolation = [snap.beta ** 2 * D.norm_sq(x_prev - x_prev2)
                      - D.norm_sq(x_prev - snap.y)
                      for x_prev2, x_prev, snap in zip(xs, xs[1:], res.states)]
-    assert descent_inequality_slacks(prob, res).tolist() == descent
     assert extrapolation_slacks(res).tolist() == extrapolation
 
 
