@@ -31,8 +31,8 @@ from .linesearch import BacktrackConfig
 from .logreg import LogRegData, build_logreg_problem, logistic_lipschitz_bound
 from .poisson import build_poisson_problem
 from .problem import DcProblem, objective
-from .solver import (RunResult, SolverConfig, StoppingRule, adca_run,
-                     pdcae_run, spdcae_run)
+from .solver import (RunResult, SolverConfig, StoppingRule, _check_start,
+                     adca_run, pdcae_run, spdcae_run)
 from .trace import (ConfigError, SummaryRow, Trace, _write_summary_csv,
                     write_trace_csv)
 
@@ -312,12 +312,24 @@ class _Base:
         """Logistic curvature bound, the fixed-step solvers' default 'L'."""
         return logistic_lipschitz_bound(self.data)
 
+    def start(self, seed: int) -> Array:
+        """The start point of one seed (see ``_instance``)."""
+        n = self.data.n
+        return make_rng(seed).random(n) if self.kind == "logreg" else np.ones(n)
+
 
 def _setup(config: RunConfig):
     """The configured problem family, the (name, run) of every solver entry
-    and the reference run, all built before any solve (a dataset file's
-    family is known only once the file is loaded)."""
+    and the reference run, all built, and every seed's start checked, before
+    any solve (a dataset file's family is known only once the file is loaded)."""
     base = _build_base(config.problem)
+    problem = base.problem or build_poisson_problem(base.data)
+    for seed in (config.reference_seed, *config.seeds):
+        try:
+            _check_start(problem, base.start(seed))
+        except ValueError as exc:
+            where = f"problem kind {config.problem['kind']!r}, seed {seed}"
+            raise ConfigError(f"{where}, lambda {base.data.lam!r}: {exc}") from None
     return (base, *_build_solvers(config, base.kind))
 
 
@@ -362,10 +374,9 @@ def _instance(base: _Base, seed: int) -> Tuple[DcProblem, Array]:
     instance) and always start from the all-ones vector.
     """
     if base.kind == "logreg":
-        x0 = make_rng(seed).random(base.data.n)
-        return base.problem, x0
+        return base.problem, base.start(seed)
     data_s = resample_counts(base.data, base.truth, make_rng(seed))
-    return build_poisson_problem(data_s), np.ones(base.data.n)
+    return build_poisson_problem(data_s), base.start(seed)
 
 
 # --- reference values and the matrix -----------------------------------------

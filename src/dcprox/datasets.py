@@ -185,7 +185,8 @@ def gen_logreg(m: int, n: int, sparsity_of_truth: float = 0.1,
         raise ValueError("sparsity_of_truth must lie in (0, 1]")
     gen = make_rng(rng)
     scales = 10.0 ** gen.uniform(-scale_decades, 0.0, size=n)
-    A = gen.standard_normal((m, n)) * scales
+    A = gen.standard_normal((m, n))
+    A *= scales
     k = max(1, round(sparsity_of_truth * n))
     support = gen.choice(n, size=k, replace=False)
     w = np.zeros(n)

@@ -9,6 +9,7 @@ is periodically deflated so step sizes can grow again).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,8 @@ _DECREASE_SLACK = 1e-12
 
 
 class LineSearchError(RuntimeError):
-    """The inner loop hit its trial cap without satisfying the decrease test.
-
-    Carries the last trial so the failure can be diagnosed.
+    """The inner loop hit its trial cap without satisfying the decrease test,
+    or a trial met a non-finite extrapolation weight; carries the last L tried.
     """
 
     def __init__(self, message: str, k: int, L: float, x: Array, y: Array):
@@ -202,9 +202,15 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
     monotone = config.mode == "monotone"
 
     for i in range(config.max_inner):
+        if i:
+            L = config.eta * L
         t = 1.0 / L
         if i == 0 or not monotone:
             beta, theta = beta_provider.propose(t)
+            if not (math.isfinite(beta) and math.isfinite(theta)):
+                raise LineSearchError(
+                    f"line search met a non-finite extrapolation weight (theta = {theta!r}) "
+                    f"at iteration {k} (L = {L:.3e})", k=k, L=L, x=state.x_prev, y=state.x_prev)
             y, f_y, grad_y = extrapolate(problem, state, beta)
             D = metric_provider.trial(k, y, grad_y)
         x_new, z_new, f_new, x_minus_y, ok = prox_trial(problem, y, f_y, grad_y,
@@ -215,8 +221,7 @@ def backtrack_step(problem: DcProblem, config: BacktrackConfig,
             # positional: keyword arguments cost more than building the record
             return IterationSnapshot(k, x_new, f_new, y, t, L, beta, theta, D,
                                      z_new, x_minus_y, i)
-        L = config.eta * L
 
     raise LineSearchError(
         f"line search did not terminate within {config.max_inner} trials "
-        f"at iteration {k} (last L = {L:.3e})", k=k, L=L, x=state.x_prev, y=y)
+        f"at iteration {k} (last L tried = {L:.3e})", k=k, L=L, x=state.x_prev, y=y)

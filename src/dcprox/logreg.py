@@ -55,7 +55,8 @@ class LogRegData:
             raise ValueError("label count must match the number of rows")
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
             raise ValueError("need at least one sample and one feature")
-        if not np.isfinite(self.A.data if _issparse(self.A) else self.A).all():
+        entries = self.A.data if _issparse(self.A) else self.A  # NaN or inf shows in min or max
+        if entries.size and not np.isfinite((entries.min(), entries.max())).all():
             raise ValueError("design matrix A has non-finite entries")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("penalty weight lam must be positive and finite")
@@ -70,15 +71,15 @@ class LogRegData:
         return self.A.shape[1]
 
 
-def _exp_neg_abs(z: Array, b: Array) -> tuple[Array, Array]:
-    """u = -b * z and e = exp(-|u|), the one exp pass of the loss."""
-    u = -b * z
+def _exp_neg_abs(z: Array, nb: Array) -> tuple[Array, Array]:
+    """u = nb * z = -b * z and e = exp(-|u|), the one exp pass of the loss."""
+    u = nb * z
     return u, np.exp(-np.abs(u))
 
 
-def _mean_softplus(u: Array, e: Array) -> float:
-    # mean of log(1 + exp(u)) without overflow: max(u, 0) + log1p(exp(-|u|)).
-    return float(np.mean(np.maximum(u, 0.0) + np.log1p(e)))
+def _mean_softplus(u: Array, e: Array, m: int) -> float:
+    # mean of log(1 + exp(u)) = max(u, 0) + log1p(exp(-|u|)), summed and divided as np.mean
+    return float(np.add.reduce(np.maximum(u, 0.0) + np.log1p(e)) / m)
 
 
 def logistic_smooth(data: LogRegData) -> SmoothOracle:
@@ -89,18 +90,18 @@ def logistic_smooth(data: LogRegData) -> SmoothOracle:
     grad  = -(1/m) A^T (b * sigmoid(u)),
     both from the one e = exp(-|u|) (see the module docstring).
     """
-    A, b, m = data.A, data.b, data.m
+    A, nb, m = data.A, -data.b, data.m
 
     def grad_from(u: Array, e: Array) -> Array:
         sigmoid = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
-        return np.asarray(-(A.T @ (b * sigmoid)) / m)
+        return np.asarray(A.T @ (nb * sigmoid) / m)
 
     def value_grad_at(z: Array) -> tuple[float, Array]:
-        u, e = _exp_neg_abs(z, b)
-        return _mean_softplus(u, e), grad_from(u, e)
+        u, e = _exp_neg_abs(z, nb)
+        return _mean_softplus(u, e, m), grad_from(u, e)
 
-    return SmoothOracle(A, lambda z: _mean_softplus(*_exp_neg_abs(z, b)),
-                        value_grad_at, lambda z: grad_from(*_exp_neg_abs(z, b)))
+    return SmoothOracle(A, lambda z: _mean_softplus(*_exp_neg_abs(z, nb), m),
+                        value_grad_at, lambda z: grad_from(*_exp_neg_abs(z, nb)))
 
 
 def l1_scaled_prox(v: Array, t: float, lam: float,
@@ -115,12 +116,6 @@ def l1_scaled_prox(v: Array, t: float, lam: float,
     return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
 
 
-def _frobenius_sq(A) -> float:
-    if _issparse(A):
-        return float(np.dot(A.data, A.data))
-    return float(np.sum(A * A))
-
-
 def logistic_lipschitz_bound(data: LogRegData, tol: float = 1e-8,
                              max_iter: int = 1000) -> float:
     """Global curvature bound lambda_max(A^T A) / (4 m) by power iteration.
@@ -129,17 +124,19 @@ def logistic_lipschitz_bound(data: LogRegData, tol: float = 1e-8,
     deterministic all-ones vector cannot hide the top eigenvalue.  If the
     Rayleigh quotient has not settled to relative tolerance ``tol`` within
     ``max_iter`` rounds, falls back to the coarser Frobenius bound
-    ||A||_F^2 / (4 m) with a warning.
+    ||A||_F^2 / (4 m) with a warning.  A dense A with n <= m iterates on
+    G = A^T A, formed once; a sparse A (whose G fills in) and a wide one
+    (whose G outgrows A) iterate on the two products.
     """
     A = data.A
     m, n = A.shape
+    G = A.T @ A if n <= m and not _issparse(A) else None
     rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     for _ in range(max_iter):
-        u = A.T @ (A @ v)
-        u = np.asarray(u)
+        u = np.asarray(A.T @ (A @ v) if G is None else G @ v)
         nrm = float(np.linalg.norm(u))
         if nrm == 0.0:
             return 0.0  # A annihilates the iterate; spectrum is 0 on its span
@@ -150,7 +147,8 @@ def logistic_lipschitz_bound(data: LogRegData, tol: float = 1e-8,
         lam_prev = lam
     warnings.warn("power iteration stagnated; using the Frobenius bound",
                   RuntimeWarning, stacklevel=2)
-    return _frobenius_sq(A) / (4.0 * m)
+    fro_sq = np.dot(A.data, A.data) if _issparse(A) else np.sum(A * A)
+    return float(fro_sq) / (4.0 * m)
 
 
 def l1_proximable(lam: float) -> ProximableOracle:

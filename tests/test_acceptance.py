@@ -140,33 +140,40 @@ def test_quadratic_rate_in_convex_mode(report):
     one_dim = DcProblem(f=quadratic_smooth(np.array([3.0])),
                         g=l1_proximable(1.0), h=zero_concave(),
                         feasible_set=whole_space())
+    # Each reference stops once its lowest objective has settled; the
+    # underdetermined lasso keeps a gap above round-off through k = 2000, so
+    # its ratio tests the rate (a loop without extrapolation reads about 2.6
+    # there) and its reference needs a longer stall window.
     cases = [
-        ("lasso-0", *_lasso_instance(200, 50, 0.1, 0), None),
-        ("lasso-1", *_lasso_instance(200, 50, 0.1, 1), None),
-        ("nnls-0", *nnls_instance(100, 40, 0), None),
-        ("nnls-1", *nnls_instance(100, 40, 1), None),
-        ("one-dim", one_dim, np.zeros(1), 2.5),  # argmin at 2, value 2.5
+        ("lasso-0", *_lasso_instance(200, 50, 0.1, 0), None, 200),
+        ("lasso-1", *_lasso_instance(200, 50, 0.1, 1), None, 200),
+        ("nnls-0", *nnls_instance(100, 40, 0), None, 200),
+        ("nnls-1", *nnls_instance(100, 40, 1), None, 200),
+        ("one-dim", one_dim, np.zeros(1), 2.5, None),  # argmin at 2, value 2.5
+        ("lasso-50x200", *_lasso_instance(50, 200, 0.01, 0), None, 2000),
     ]
     cfg = SolverConfig(backtrack=BacktrackConfig(mode="monotone"))
-    worst_pair = ("", 0.0)
+    ratios = {}
     ok = True
-    for name, prob, x0, phi_star in cases:
+    for name, prob, x0, phi_star, window in cases:
         res = sfista_run(prob, cfg, StoppingRule(max_iter=2000), x0=x0)
         if phi_star is None:
-            ref = sfista_run(prob, cfg, StoppingRule(max_iter=100000), x0=x0)
+            ref = sfista_run(prob, cfg, StoppingRule(max_iter=100000, stall_iters=window),
+                             x0=x0)
             phi_star = objective(prob, ref.x)
         gaps = np.maximum(
             np.array([r.F_value for r in res.trace]) - phi_star, 0.0)
         weighted = (np.arange(1, 2001) + 1.0) ** 2 * gaps
         left = weighted[1:1000].max()
         right = weighted[999:].max()
+        ratios[name] = right / max(left, 1e-300)
         if right > 2.0 * left:
             ok = False
-            worst_pair = (name, right / max(left, 1e-300))
             break
     elapsed = time.perf_counter() - start
-    detail = (f"weighted gap bounded on 5 instances, {elapsed:.1f}s" if ok
-              else f"{worst_pair[0]}: late/early ratio {worst_pair[1]:.2f}")
+    detail = (f"weighted gap bounded on {len(cases)} instances, late/early ratio "
+              f"{ratios['lasso-50x200']:.2f} on lasso-50x200, {elapsed:.1f}s" if ok
+              else f"{name}: late/early ratio {ratios[name]:.2f}")
     report(2, ok and elapsed < 120.0, detail)
 
 

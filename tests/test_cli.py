@@ -622,3 +622,51 @@ def test_problem_the_builder_rejects_exits_2(tmp_path, capsys, no_solves, comman
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["tune"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("command", ["bench", "ref"])
+@pytest.mark.parametrize("problem", [
+    {"kind": "logreg-synthetic", "m": 40, "n": 8},
+    {"kind": "poisson-synthetic", "m": 12, "n": 30, "k_nonzeros": 3},
+], ids=["logreg", "poisson"])
+def test_infeasible_start_exits_2_before_any_solve(tmp_path, capsys, no_solves, command,
+                                                   problem):
+    # lambda ||x0||_1 overflows, so g(x0) = inf at every seed's start
+    cfg = _write_config(tmp_path / "cfg.json", problem={**problem, "lambda": 1e308},
+                        seeds=[3, 1], reference_seed=3)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    _assert_one_line_error(capsys, rc, f"problem kind '{problem['kind']}', seed 3, "
+                                       "lambda 1e+308: start point is infeasible")
+    assert not out.exists()
+
+
+def _assert_solver_failure(capsys, rc, named):
+    out = capsys.readouterr()
+    assert rc == 3
+    assert out.err.startswith("solver failure: ") and out.err.count("\n") == 1, out.err
+    assert named in out.err
+
+
+def test_line_search_failure_reports_the_last_L_tried(tmp_path, capsys):
+    # one trial per iteration: k = 2 deflates 0.1 to 0.05, which fails, and
+    # no trial ever uses the inflated 0.1
+    cfg = _write_config(tmp_path / "cfg.json",
+                        problem={"kind": "logreg-synthetic", "m": 200, "n": 30},
+                        solvers=[{"name": "pdcae1", "max_inner": 1}],
+                        reference_solver="pdcae")
+    rc = main(["bench", "--config", str(cfg)])
+    _assert_solver_failure(capsys, rc, "within 1 trials at iteration 2 "
+                                       "(last L tried = 5.000e-02)")
+
+
+def test_nonfinite_extrapolation_weight_is_a_solver_failure(tmp_path, capsys):
+    # eta = 1e308 takes a trial step of 2e-308 after a step of 1, a step
+    # ratio of 5e307 that overflows theta; the search stops there
+    cfg = _write_config(tmp_path / "cfg.json",
+                        problem={"kind": "logreg-synthetic", "m": 40, "n": 8},
+                        solvers=[{"name": "spdcae1", "eta": 1e308}],
+                        reference_solver="pdcae")
+    rc = main(["bench", "--config", str(cfg)])
+    _assert_solver_failure(capsys, rc, "non-finite extrapolation weight (theta = inf)")

@@ -154,6 +154,17 @@ def test_gen_logreg_deterministic():
     assert np.array_equal(a.b, b.b)
 
 
+@pytest.mark.parametrize("m, n, seed, decades", [(50, 20, 0, 2.0), (37, 11, 4, 3.0),
+                                                 (8, 30, 2, 0.0)])
+def test_gen_logreg_scales_in_place_as_the_product_did(m, n, seed, decades):
+    # the design is the draws times the column scales, as one fresh product made it
+    data, _ = gen_logreg(m, n, rng=seed, scale_decades=decades)
+    gen = make_rng(seed)
+    scales = 10.0 ** gen.uniform(-decades, 0.0, size=n)
+    A = gen.standard_normal((m, n)) * scales
+    assert data.A.tobytes() == A.tobytes()
+
+
 def test_gen_logreg_noise_flips_labels():
     clean, w = gen_logreg(300, 10, noise_rate=0.0, rng=2)
     noisy, _ = gen_logreg(300, 10, noise_rate=0.3, rng=2)

@@ -124,7 +124,7 @@ def test_backtrack_exhaustion_raises_with_context():
     err = exc_info.value
     assert isinstance(err, RuntimeError)
     assert err.k == 1
-    assert err.L > 1.0
+    assert err.L == 16.0  # the last of the five trials: 1, 2, 4, 8, 16
     assert np.allclose(err.y, [1.0])
 
 

@@ -124,6 +124,23 @@ def test_data_rejects_nonfinite_matrix(sparse):
                    b=np.array([1.0, -1.0]), lam=1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_data_rejects_each_nonfinite_entry(sparse, bad):
+    A = np.arange(1.0, 7.0).reshape(3, 2)
+    A[2, 1] = bad
+    with pytest.raises(ValueError, match="matrix A"):
+        LogRegData(A=sp.csr_matrix(A) if sparse else A,
+                   b=np.array([1.0, -1.0, 1.0]), lam=1e-3)
+
+
+def test_data_accepts_an_all_zero_sparse_matrix():
+    # a CSR matrix of zeros stores no entries, so there is no min or max
+    data = LogRegData(A=sp.csr_matrix((3, 2)), b=np.array([1.0, -1.0, 1.0]), lam=1e-3)
+    assert data.A.nnz == 0
+    assert logistic_lipschitz_bound(data) == 0.0
+
+
 def test_scaled_soft_threshold_frozen():
     D = DiagonalMetric(np.array([2.0, 0.5]))
     out = l1_scaled_prox(np.array([2.0, -0.5]), 1.0, 1.0, D)
@@ -192,6 +209,113 @@ def test_lipschitz_bound_matches_eigensolver():
     data, _ = gen_logreg(40, 12, rng=5)
     want = np.linalg.eigvalsh(data.A.T @ data.A).max() / (4.0 * 40)
     assert logistic_lipschitz_bound(data) == pytest.approx(want, rel=1e-6)
+
+
+def _product_loop_bound(A, m):
+    """The power iteration on the two products A^T (A v), written out: the
+    same Philox(0) start, tolerance 1e-8 and 1000 rounds as the library."""
+    rng = np.random.Generator(np.random.Philox(0))
+    v = rng.standard_normal(A.shape[1])
+    v /= np.linalg.norm(v)
+    lam_prev = 0.0
+    for _ in range(1000):
+        u = np.asarray(A.T @ (A @ v))
+        nrm = float(np.linalg.norm(u))
+        if nrm == 0.0:
+            return 0.0
+        lam = float(np.dot(v, u))
+        v = u / nrm
+        if abs(lam - lam_prev) <= 1e-8 * max(1.0, abs(lam)):
+            return lam / (4.0 * m)
+        lam_prev = lam
+    raise AssertionError("the product loop did not settle")
+
+
+@pytest.mark.parametrize("m, n, seed", [(2000, 300, 0), (200, 30, 0), (40, 12, 0),
+                                        (150, 20, 0), (500, 500, 0), (400, 60, 0)])
+def test_gram_bound_matches_the_product_loop_on_dense_tall_designs(m, n, seed):
+    data, _ = gen_logreg(m, n, rng=seed)
+    want = _product_loop_bound(data.A, m)
+    assert abs(logistic_lipschitz_bound(data) - want) <= 1e-14 * want
+
+
+class _CountingDesign(np.ndarray):
+    """A dense design that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingDesign.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingDesign) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_gram_bound_takes_one_product_with_a_dense_tall_design():
+    data, _ = gen_logreg(200, 30, rng=0)
+    counted = LogRegData(A=data.A.view(_CountingDesign), b=data.b, lam=data.lam)
+    _CountingDesign.products = 0
+    assert logistic_lipschitz_bound(counted) == logistic_lipschitz_bound(data)
+    assert _CountingDesign.products == 1  # G = A^T A; each round multiplies G
+
+
+@pytest.mark.parametrize("shape", ["sparse", "wide", "wide-sparse"])
+def test_sparse_and_wide_bounds_are_the_product_loop_bit_for_bit(shape):
+    m, n = (200, 30) if shape == "sparse" else (30, 60)
+    data, _ = gen_logreg(m, n, rng=1)
+    A = data.A
+    if shape != "wide":
+        mask = np.random.default_rng(2).random((m, n)) < 0.3
+        A = sp.csr_matrix(np.where(mask, A, 0.0))
+    bound = logistic_lipschitz_bound(LogRegData(A=A, b=data.b, lam=data.lam))
+    assert np.float64(bound).tobytes() == np.float64(_product_loop_bound(A, m)).tobytes()
+
+
+def _formula_value_grad(A, b, z):
+    """The loss as np.mean and the gradient as -(A^T (b * s)) / m."""
+    u = -b * z
+    e = np.exp(-np.abs(u))
+    s = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    return (float(np.mean(np.maximum(u, 0.0) + np.log1p(e))),
+            np.asarray(-(A.T @ (b * s)) / A.shape[0]))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_oracle_equals_the_mean_and_adjoint_formulas_as_bytes(sparse):
+    data, _ = gen_logreg(300, 40, rng=3)
+    A = data.A
+    if sparse:
+        mask = np.random.default_rng(4).random(A.shape) < 0.3
+        A = sp.csr_matrix(np.where(mask, A, 0.0))
+        assert np.diff(A.tocsc().indptr).min() > 0  # no empty column
+    f = logistic_smooth(LogRegData(A=A, b=data.b, lam=data.lam))
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 1.0, 30.0, 2000.0):
+        for _ in range(5):
+            z = scale * rng.standard_normal(300)
+            value, grad = _formula_value_grad(A, data.b, z)
+            got_value, got_grad = f.value_grad_at(z)
+            assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+            assert np.float64(f.value_at(z)).tobytes() == np.float64(value).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
+            assert f.grad_at(z).tobytes() == grad.tobytes()
+    # at scale 2000 most |z| exceed 750, where e = exp(-|u|) underflows to 0
+    assert np.mean(np.exp(-np.abs(z)) == 0.0) > 0.5
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gradient_of_an_empty_column_is_positive_zero(sparse):
+    # the negated-adjoint formula gives -0.0 there; the oracle, which takes
+    # the sign from -b, gives +0.0, the same value
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+    b = np.array([1.0, -1.0, 1.0])
+    A = sp.csr_matrix(A) if sparse else A
+    z = np.array([0.3, -1.0, 2.0])
+    _, grad = logistic_smooth(LogRegData(A=A, b=b, lam=1e-3)).value_grad_at(z)
+    _, want = _formula_value_grad(A, b, z)
+    assert np.array_equal(grad, want)
+    assert grad[1] == 0.0 and not np.signbit(grad[1]) and np.signbit(want[1])
 
 
 @pytest.mark.parametrize("sparse", [False, True])
