@@ -117,21 +117,12 @@ def test_data_rejects_nonfinite_penalty(lam):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_data_rejects_nonfinite_matrix(sparse):
-    A = np.ones((2, 2))
-    A[1, 0] = np.nan
-    with pytest.raises(ValueError, match="matrix A"):
-        LogRegData(A=sp.csr_matrix(A) if sparse else A,
-                   b=np.array([1.0, -1.0]), lam=1e-3)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_data_rejects_each_nonfinite_entry(sparse, bad):
-    A = np.arange(1.0, 7.0).reshape(3, 2)
-    A[2, 1] = bad
-    with pytest.raises(ValueError, match="matrix A"):
-        LogRegData(A=sp.csr_matrix(A) if sparse else A,
-                   b=np.array([1.0, -1.0, 1.0]), lam=1e-3)
+    for bad in (np.nan, np.inf, -np.inf):
+        A = np.ones((2, 2))
+        A[1, 0] = bad
+        with pytest.raises(ValueError, match="matrix A"):
+            LogRegData(A=sp.csr_matrix(A) if sparse else A,
+                       b=np.array([1.0, -1.0]), lam=1e-3)
 
 
 def test_data_accepts_an_all_zero_sparse_matrix():
